@@ -308,20 +308,87 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
     return _make(y, "conv2d", (x, w), bwd)
 
 
+def _channels_last_padded(x: np.ndarray, pads: tuple, dtype) -> np.ndarray:
+    """x (N,C,H,W) as a zero-padded (N,H',W',C) array, in one copy."""
+    n, c, h, w = x.shape
+    pt, pb, pl, pr = pads
+    xp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=dtype)
+    xp[:, pt:pt + h, pl:pl + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _tap(xp: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The strided slice of a padded channels-last input that kernel tap
+    (i, j) multiplies: output pixel (a, b) reads input (a*s + i, b*s + j)."""
+    return xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+
+def _dw_forward(xp: np.ndarray, w: np.ndarray, stride: int,
+                ho: int, wo: int) -> np.ndarray:
+    """The sum over taps (i, j) of _tap(xp, i, j) * w[i, j], channels-last."""
+    k = w.shape[0]
+    y = np.empty((xp.shape[0], ho, wo, xp.shape[3]), dtype=xp.dtype)
+    tmp = np.empty_like(y)
+    np.multiply(_tap(xp, 0, 0, stride, ho, wo), w[0, 0], out=y)
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.multiply(_tap(xp, i, j, stride, ho, wo), w[i, j], out=tmp)
+                y += tmp
+    return y
+
+
+def _dw_kernel_grad(xp: np.ndarray, gt: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """gw[i, j] = sum of _tap(xp, i, j) * gt over batch and positions."""
+    _, ho, wo, c = gt.shape
+    gw = np.empty((k, k, c), dtype=gt.dtype)
+    tmp = np.empty_like(gt)
+    for i in range(k):
+        for j in range(k):
+            np.multiply(_tap(xp, i, j, stride, ho, wo), gt, out=tmp)
+            gw[i, j] = tmp.sum(axis=(0, 1, 2))
+    return gw
+
+
+def _dw_input_grad(gt: np.ndarray, w: np.ndarray, padded_shape: tuple,
+                   stride: int) -> np.ndarray:
+    """The padded channels-last input gradient: each tap scatters
+    gt * w[i, j] back onto the slice it read."""
+    _, ho, wo, _ = gt.shape
+    k = w.shape[0]
+    gxp = np.zeros(padded_shape, dtype=gt.dtype)
+    tmp = np.empty_like(gt)
+    for i in range(k):
+        for j in range(k):
+            np.multiply(gt, w[i, j], out=tmp)
+            window = _tap(gxp, i, j, stride, ho, wo)
+            window += tmp
+    return gxp
+
+
 def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
                          padding: str = "same") -> np.ndarray:
     """Per-channel cross-correlation. x (N,C,H,W), w (K,K,C); channel c of
-    the output only sees channel c of the input."""
+    the output only sees channel c of the input.
+
+    Computed as a sum over the K*K kernel taps of shifted slices,
+    y += x[:, :, i::s, j::s] * w[i, j], with one output-sized scratch
+    buffer reused by every tap. The taps run on a padded channels-last
+    copy of x, so each tap's slice is a run of W*C contiguous values per
+    row rather than W values, which keeps small feature maps fast. Extra
+    memory is O(input + output), never K*K times the input. The result is
+    C-contiguous, in the operands' common dtype.
+    """
     n, c, h, wd = x.shape
     kh, kw, cw = w.shape
     if kh != kw:
         raise ShapeError(f"only square kernels are supported, got {kh}x{kw}")
     if cw != c:
         raise ShapeError(f"input has {c} channels but kernel expects {cw}")
-    (pt, pb, pl, pr), ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = sliding_window_view(xp, (kh, kh), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(np.einsum("nchwuv,uvc->nchw", win, w))
+    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    dtype = np.result_type(x.dtype, w.dtype)
+    y = _dw_forward(_channels_last_padded(x, pads, dtype), w, stride, ho, wo)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
@@ -331,22 +398,20 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
     n, c, h, wd = x.shape
     kh = w.shape[0]
     y = depthwise_conv2d_raw(x.data, w.data, stride, padding)
-    (pt, pb, pl, pr), ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    pt, pb, pl, pr = pads
 
     def bwd(g: np.ndarray):
         gx = gw = None
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        win = sliding_window_view(xp, (kh, kh), axis=(2, 3))[:, :, ::stride, ::stride]
+        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if w.requires_grad:
-            gw = np.einsum("nchwuv,nchw->uvc", win, g)
+            gw = _dw_kernel_grad(_channels_last_padded(x.data, pads, x.dtype),
+                                 gt, kh, stride)
         if x.requires_grad:
-            gcols = np.einsum("nchw,uvc->nchwuv", g, w.data)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kh):
-                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                        gcols[:, :, :, :, i, j]
-            gx = gxp[:, :, pt:pt + h, pl:pl + wd]
+            gxp = _dw_input_grad(gt, w.data, (n, h + pt + pb, wd + pl + pr, c),
+                                 stride)
+            gx = np.ascontiguousarray(
+                gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2))
         return gx, gw
 
     return _make(y, "depthwise_conv2d", (x, w), bwd)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import os
-import shutil
 import sys
 from importlib import resources
 
@@ -24,7 +23,7 @@ import yaml
 
 from .arch import (ArchError, ArchSpec, compression_report, count_stats,
                    load_arch, parse_arch)
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, copy_checkpoint, load_checkpoint
 from .data import (AugmentConfig, DataError, Dataset, channel_stats,
                    load_cifar10, load_mnist_idx, synthetic_dataset)
 from .distill import DistillConfig
@@ -301,7 +300,7 @@ def _stage_epochs(trainer: Trainer, out_dir: str, runner, count: int) -> None:
         runner()
         path = os.path.join(out_dir, f"epoch_{trainer.state.epoch:04d}.ckpt")
         trainer.save(path)
-        shutil.copyfile(path, os.path.join(out_dir, "latest.ckpt"))
+        copy_checkpoint(path, os.path.join(out_dir, "latest.ckpt"))
 
 
 def _final_report(trainer: Trainer, test: Dataset) -> None:

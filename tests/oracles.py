@@ -43,10 +43,10 @@ def conv2d_loops(x, w, stride=1, padding="same"):
     return y
 
 
-def depthwise_conv2d_loops(x, w, stride=1, padding="same"):
-    """Per-channel cross-correlation by five nested loops. w is (K,K,C)."""
+def _padded(x, k, stride, padding):
+    """x zero-padded for a KxK window (extra pixel bottom/right), with the
+    output size and the top/left padding."""
     n, c, h, wd = x.shape
-    k = w.shape[0]
     if padding == "same":
         ho = -(-h // stride)
         wo = -(-wd // stride)
@@ -55,10 +55,17 @@ def depthwise_conv2d_loops(x, w, stride=1, padding="same"):
         pt, pl = ph // 2, pw // 2
         xp = np.zeros((n, c, h + ph, wd + pw), dtype=x.dtype)
         xp[:, :, pt:pt + h, pl:pl + wd] = x
-    else:
-        ho = (h - k) // stride + 1
-        wo = (wd - k) // stride + 1
-        xp = x
+        return xp, ho, wo, pt, pl
+    ho = (h - k) // stride + 1
+    wo = (wd - k) // stride + 1
+    return x, ho, wo, 0, 0
+
+
+def depthwise_conv2d_loops(x, w, stride=1, padding="same"):
+    """Per-channel cross-correlation by five nested loops. w is (K,K,C)."""
+    n, c, h, wd = x.shape
+    k = w.shape[0]
+    xp, ho, wo, _, _ = _padded(x, k, stride, padding)
     y = np.zeros((n, c, ho, wo), dtype=x.dtype)
     for b in range(n):
         for ci in range(c):
@@ -71,6 +78,28 @@ def depthwise_conv2d_loops(x, w, stride=1, padding="same"):
                                 * w[u, v, ci]
                     y[b, ci, i, j] = acc
     return y
+
+
+def depthwise_conv2d_vjp_loops(x, w, g, stride=1, padding="same"):
+    """Gradients of sum(g * depthwise_conv2d(x, w)) with respect to x and
+    w, by the same loops as the forward: each product
+    xp[b, c, i*s+u, j*s+v] * w[u, v, c] sends g[b, c, i, j] times the
+    other factor to each operand."""
+    n, c, h, wd = x.shape
+    k = w.shape[0]
+    xp, ho, wo, pt, pl = _padded(x, k, stride, padding)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    for u in range(k):
+                        for v in range(k):
+                            r, q = i * stride + u, j * stride + v
+                            gxp[b, ci, r, q] += g[b, ci, i, j] * w[u, v, ci]
+                            gw[u, v, ci] += g[b, ci, i, j] * xp[b, ci, r, q]
+    return gxp[:, :, pt:pt + h, pl:pl + wd], gw
 
 
 def dense_loops(x, w):

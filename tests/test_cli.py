@@ -2,13 +2,17 @@
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
-from cascadeprune.cli import main
+from cascadeprune.checkpoint import load_checkpoint, save_checkpoint
+from cascadeprune.cli import _stage_epochs, main
 
 TINY_ARCH = """\
 input c=1 h=8 w=8
@@ -102,6 +106,35 @@ class TestTrain:
             lines = fh.read().splitlines()
         assert lines[0].startswith("step,epoch,stage,slot,loss")
         assert len(lines) > 1
+
+    def test_latest_refresh_survives_a_failed_copy(self, tmp_path, monkeypatch):
+        """A copy that fails halfway through leaves the previous
+        latest.ckpt whole and loadable, and no temp file behind."""
+        state = SimpleNamespace(epoch=0)
+
+        def save(path):
+            save_checkpoint(path, {"w": np.full(4096, state.epoch, np.float32)},
+                            {"epoch": state.epoch})
+
+        trainer = SimpleNamespace(state=state, save=save)
+
+        def runner():
+            state.epoch += 1
+
+        _stage_epochs(trainer, str(tmp_path), runner, 1)
+
+        def torn_copy(fsrc, fdst, length=0):
+            fdst.write(fsrc.read(100))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(shutil, "copyfileobj", torn_copy)
+        with pytest.raises(OSError, match="disk full"):
+            _stage_epochs(trainer, str(tmp_path), runner, 1)
+        tensors, meta = load_checkpoint(str(tmp_path / "latest.ckpt"))
+        assert meta == {"epoch": 1}
+        assert np.array_equal(tensors["w"], np.ones(4096, np.float32))
+        assert sorted(os.listdir(tmp_path)) == [
+            "epoch_0001.ckpt", "epoch_0002.ckpt", "latest.ckpt"]
 
     def test_resolved_config_written(self, trained_run):
         cfg = yaml.safe_load(open(os.path.join(trained_run, "config.yaml")))

@@ -5,6 +5,8 @@ Exact (==) comparisons only ever use integer-valued inputs, where float
 summation is associative and the loop oracle must agree bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,65 @@ class TestDepthwiseConv:
         x = ad.Tensor(x0, dtype="f64")
         fd_check(lambda t: ad.tensor_sum(ad.square(
             ad.depthwise_conv2d(x, t, stride=2))), w0)
+
+    # odd and even sizes; an even size at stride 2 pads 'same' only on
+    # the bottom/right
+    F32_CASES = [(shape, stride, pad)
+                 for shape in ((2, 3, 7, 7), (2, 3, 6, 8), (1, 4, 5, 6))
+                 for stride in (1, 2) for pad in ("same", "valid")]
+
+    @pytest.mark.parametrize("shape,stride,pad", F32_CASES)
+    def test_f32_matches_f64_reference(self, shape, stride, pad):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((3, 3, shape[1])).astype(np.float32)
+        got = ad.depthwise_conv2d(ad.Tensor(x), ad.Tensor(w),
+                                  stride=stride, padding=pad).data
+        want = oracles.depthwise_conv2d_loops(x.astype(np.float64),
+                                              w.astype(np.float64), stride, pad)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("shape,stride,pad", F32_CASES)
+    @pytest.mark.parametrize("wrt", ["x", "w"])
+    def test_f32_backward_of_one_operand(self, shape, stride, pad, wrt):
+        """Only one operand requires grad: it gets the reference gradient,
+        in f32 and C order, and the other gets none."""
+        rng = np.random.default_rng(19)
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        w0 = rng.standard_normal((3, 3, shape[1])).astype(np.float32)
+        x = ad.Tensor(x0, requires_grad=wrt == "x")
+        w = ad.Tensor(w0, requires_grad=wrt == "w")
+        y = ad.depthwise_conv2d(x, w, stride=stride, padding=pad)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        ad.backward(ad.tensor_sum(ad.mul_const(y, g)))
+        want_gx, want_gw = oracles.depthwise_conv2d_vjp_loops(
+            x0.astype(np.float64), w0.astype(np.float64),
+            g.astype(np.float64), stride, pad)
+        got, want, other = ((x.grad, want_gx, w.grad) if wrt == "x"
+                            else (w.grad, want_gw, x.grad))
+        assert other is None
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_backward_memory_stays_near_input_size(self):
+        """The backward must not build a K*K-times-input buffer: its peak
+        allocation stays below 6 times the input's bytes."""
+        rng = np.random.default_rng(20)
+        x = ad.Tensor(rng.standard_normal((8, 64, 32, 32)).astype(np.float32),
+                      requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 64)).astype(np.float32),
+                      requires_grad=True)
+        y = ad.depthwise_conv2d(x, w)
+        loss = ad.tensor_sum(y)
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert peak < 6 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ad.ShapeError):
