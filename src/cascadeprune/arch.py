@@ -58,6 +58,7 @@ class DWConvL:
     k: int
     c: int
     stride: int = 1
+    padding: str = "same"
     label: str = ""
 
 
@@ -303,8 +304,10 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
             _no_extras(kv, where)
             if cc != c:
                 raise ArchError(f"{where}: dwconv expects c={c}, got c={cc}")
+            if pad == "valid" and (k > h or k > w):
+                raise ArchError(f"{where}: {k}x{k} window does not fit {h}x{w} input")
             h, w = _out_hw(h, w, k, stride, pad)
-            items.append(DWConvL(k, c, stride, label=f"dwconv{dw_count}"))
+            items.append(DWConvL(k, c, stride, pad, label=f"dwconv{dw_count}"))
             dw_count += 1
 
         elif kind == "bn":
@@ -483,7 +486,7 @@ def count_stats(arch: ArchSpec, mask: Optional[FilterMask] = None) -> StatsRepor
         if isinstance(it, ConvL):
             c, h, w = conv_row(it, c, h, w, it.label)
         elif isinstance(it, DWConvL):
-            ho, wo = _out_hw(h, w, it.k, it.stride, "same")
+            ho, wo = _out_hw(h, w, it.k, it.stride, it.padding)
             p = it.k * it.k * c
             rows.append(LayerStats(it.label, it.label, None, p, p * ho * wo,
                                    (c, ho, wo)))

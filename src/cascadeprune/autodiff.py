@@ -260,54 +260,6 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
-               padding: str = "same") -> np.ndarray:
-    """Plain-array cross-correlation; the single kernel behind every conv path.
-
-    Both the graph op and the surrogate score gradient call this function,
-    so their values agree bitwise on identical inputs.
-    """
-    n, c, h, wd = x.shape
-    kh, kw, cin, cout = w.shape
-    if kh != kw:
-        raise ShapeError(f"only square kernels are supported, got {kh}x{kw}")
-    if cin != c:
-        raise ShapeError(f"conv input has {c} channels but kernel expects {cin}")
-    (pt, pb, pl, pr), ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = sliding_window_view(xp, (kh, kh), axis=(2, 3))[:, :, ::stride, ::stride]
-    y = np.tensordot(win, w, axes=([1, 4, 5], [2, 0, 1]))  # (N, Ho, Wo, Cout)
-    return np.ascontiguousarray(np.moveaxis(y, 3, 1))
-
-
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation, no bias. x: (N,C,H,W), w: (K,K,C_in,C_out)."""
-    _check_same_dtype(x, w)
-    n, c, h, wd = x.shape
-    kh, kw_, cin, cout = w.shape
-    y = conv2d_raw(x.data, w.data, stride, padding)
-    (pt, pb, pl, pr), ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-
-    def bwd(g: np.ndarray):
-        gx = gw = None
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        win = sliding_window_view(xp, (kh, kh), axis=(2, 3))[:, :, ::stride, ::stride]
-        if w.requires_grad:
-            gw = np.tensordot(win, g, axes=([0, 2, 3], [0, 2, 3]))  # (C,K,K,Cout)
-            gw = np.ascontiguousarray(np.transpose(gw, (1, 2, 0, 3)))
-        if x.requires_grad:
-            gcols = np.tensordot(g, w.data, axes=([1], [3]))  # (N,Ho,Wo,K,K,C)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kh):
-                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                        np.moveaxis(gcols[:, :, :, i, j, :], 3, 1)
-            gx = gxp[:, :, pt:pt + h, pl:pl + wd]
-        return gx, gw
-
-    return _make(y, "conv2d", (x, w), bwd)
-
-
 def _channels_last_padded(x: np.ndarray, pads: tuple, dtype) -> np.ndarray:
     """x (N,C,H,W) as a zero-padded (N,H',W',C) array, in one copy."""
     n, c, h, w = x.shape
@@ -321,6 +273,102 @@ def _tap(xp: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.nd
     """The strided slice of a padded channels-last input that kernel tap
     (i, j) multiplies: output pixel (a, b) reads input (a*s + i, b*s + j)."""
     return xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+
+def _patches(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (N*Ho*Wo, K*K*C) patch matrix of a padded channels-last input.
+
+    Row (b, a, c) holds what output pixel (a, c) of image b reads, tap by
+    tap, so its column order (i, j, channel) matches a (K,K,Cin,Cout)
+    kernel reshaped to (K*K*Cin, Cout). A 1x1 stride-1 conv reads every
+    pixel once: the input itself is the patch matrix, and no copy is made.
+    """
+    n, _, _, c = xp.shape
+    if k == 1 and stride == 1:
+        return xp.reshape(n * ho * wo, c)
+    cols = np.empty((n, ho, wo, k, k, c), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, :, i, j] = _tap(xp, i, j, stride, ho, wo)
+    return cols.reshape(n * ho * wo, k * k * c)
+
+
+def _scatter_patches(gcols: np.ndarray, x_shape: tuple, k: int, stride: int,
+                     pads: tuple, ho: int, wo: int) -> np.ndarray:
+    """The inverse of _patches for gradients: each tap's columns of gcols
+    are added back onto the input pixels they were read from. Returns the
+    (N,C,H,W) input gradient. gcols is released before the final copy."""
+    n, c, h, w = x_shape
+    pt, pb, pl, pr = pads
+    if k == 1 and stride == 1:
+        gxp = gcols.reshape(n, h, w, c)
+    else:
+        gcols = gcols.reshape(n, ho, wo, k, k, c)
+        gxp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=gcols.dtype)
+        for i in range(k):
+            for j in range(k):
+                window = _tap(gxp, i, j, stride, ho, wo)
+                window += gcols[:, :, :, i, j]
+    del gcols
+    return np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + w].transpose(0, 3, 1, 2))
+
+
+def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
+               padding: str = "same") -> np.ndarray:
+    """Plain-array cross-correlation; the single kernel behind every conv
+    forward. x (N,C,H,W), w (K,K,Cin,Cout) -> (N,Cout,Ho,Wo).
+
+    One GEMM: x is copied once into a zero-padded channels-last array, its
+    K*K tap slices fill an (N*Ho*Wo, K*K*Cin) patch matrix (a 1x1 stride-1
+    conv uses the padded copy as is), and that matrix is multiplied by the
+    kernel reshaped to (K*K*Cin, Cout). The result is transposed back to
+    NCHW, C-contiguous, in the operands' common dtype.
+
+    Both the graph op and the surrogate score gradient call this function,
+    so their values agree bitwise on identical inputs.
+    """
+    n, c, h, wd = x.shape
+    kh, kw, cin, cout = w.shape
+    if kh != kw:
+        raise ShapeError(f"only square kernels are supported, got {kh}x{kw}")
+    if cin != c:
+        raise ShapeError(f"conv input has {c} channels but kernel expects {cin}")
+    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    dtype = np.result_type(x.dtype, w.dtype)
+    cols = _patches(_channels_last_padded(x, pads, dtype), kh, stride, ho, wo)
+    y = cols @ w.reshape(kh * kh * cin, cout)
+    return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
+    """2-D cross-correlation, no bias. x: (N,C,H,W), w: (K,K,C_in,C_out).
+
+    The backward is one GEMM per operand on the output gradient as rows
+    (N*Ho*Wo, Cout): gw = patches^T @ rows, with the patch matrix rebuilt
+    rather than kept from the forward, and gx = rows @ W^T scattered back
+    tap by tap.
+    """
+    _check_same_dtype(x, w)
+    n, c, h, wd = x.shape
+    kh, kw_, cin, cout = w.shape
+    y = conv2d_raw(x.data, w.data, stride, padding)
+    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+
+    def bwd(g: np.ndarray):
+        gx = gw = None
+        rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        rows = rows.reshape(n * ho * wo, cout)
+        if w.requires_grad:
+            cols = _patches(_channels_last_padded(x.data, pads, x.dtype),
+                            kh, stride, ho, wo)
+            gw = (cols.T @ rows).reshape(w.shape)
+            del cols  # before the input gradient's equally large buffer
+        if x.requires_grad:
+            wmat = w.data.reshape(kh * kh * cin, cout)
+            gx = _scatter_patches(rows @ wmat.T, x.shape, kh, stride, pads, ho, wo)
+        return gx, gw
+
+    return _make(y, "conv2d", (x, w), bwd)
 
 
 def _dw_forward(xp: np.ndarray, w: np.ndarray, stride: int,
@@ -429,6 +477,36 @@ def channel_scale(x: Tensor, scale: np.ndarray) -> Tensor:
         return (g * s,)
 
     return _make(y, "channel_scale", (x,), bwd)
+
+
+def take(x: Tensor, index: np.ndarray, axis: int) -> Tensor:
+    """The slices of x at the given positions along one axis (np.take).
+    The gradient scatters back into zeros at those positions."""
+    index = np.asarray(index, dtype=np.intp)
+    where = (slice(None),) * axis + (index,)
+    y = np.take(x.data, index, axis=axis)
+
+    def bwd(g: np.ndarray):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[where] = g
+        return (gx,)
+
+    return _make(y, "take", (x,), bwd)
+
+
+def place(x: Tensor, index: np.ndarray, size: int, axis: int) -> Tensor:
+    """x's slices placed at the given positions along one axis of a zero
+    tensor with size entries there; the inverse of take. The gradient
+    gathers those positions back."""
+    index = np.asarray(index, dtype=np.intp)
+    shape = x.shape[:axis] + (size,) + x.shape[axis + 1:]
+    y = np.zeros(shape, dtype=x.dtype)
+    y[(slice(None),) * axis + (index,)] = x.data
+
+    def bwd(g: np.ndarray):
+        return (np.take(g, index, axis=axis),)
+
+    return _make(y, "place", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

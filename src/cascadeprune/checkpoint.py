@@ -30,23 +30,20 @@ import numpy as np
 MAGIC = b"CPRUNECK"
 VERSION = 1
 
-_TAG_OF_DTYPE = {"<f4": 0, "<f8": 1, "|u1": 2, "<i8": 3}
-_DTYPE_OF_TAG = {t: np.dtype(s) for s, t in _TAG_OF_DTYPE.items()}
+_TAG_OF_DTYPE = {np.dtype("<f4"): 0, np.dtype("<f8"): 1,
+                 np.dtype("|u1"): 2, np.dtype("<i8"): 3}
+_DTYPE_OF_TAG = {t: d for d, t in _TAG_OF_DTYPE.items()}
 
 
 class CheckpointError(Exception):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
 
 
-_TAG_OF_NUMPY = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
-                 np.dtype(np.uint8): 2, np.dtype(np.int64): 3}
-
-
 def _tag_for(name: str, arr: np.ndarray) -> int:
-    if arr.dtype not in _TAG_OF_NUMPY:
+    if arr.dtype not in _TAG_OF_DTYPE:
         raise CheckpointError(f"tensor {name!r} has unsupported dtype "
                               f"{arr.dtype}")
-    return _TAG_OF_NUMPY[arr.dtype]
+    return _TAG_OF_DTYPE[arr.dtype]
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
@@ -61,7 +58,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
         chunks.append(encoded)
         chunks.append(struct.pack("<BB", tag, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype(_DTYPE_OF_TAG[tag], copy=False).tobytes())
+        chunks.append(arr.tobytes())
     blob = json.dumps(metadata, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     chunks.append(struct.pack("<I", len(blob)))

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .arch import ArchSpec, BlockL, BNL, ClassifierL, ConvL, DenseL, DWConvL, PoolL, ReLUL
 from .autodiff import BatchNormState, Parameter, Tensor
 from .masking import (FilterMask, ImportanceScores, PruneConfig, build_mask,
-                      masked_conv2d, surrogate_gamma_grad)
+                      kept_filter_conv2d, masked_conv2d, surrogate_gamma_grad)
 
 
 class HierarchyError(RuntimeError):
@@ -213,7 +213,9 @@ class ModelHierarchy:
         Each slot applies its own mask, BN state, stem, and head on top of
         the shared kernels. For every masked conv the slot saves a context
         (input, raw output, masked output with a retained gradient) so the
-        cascade can form score gradients after one backward pass.
+        cascade can form score gradients after one backward pass. Without
+        want_context no context is saved, and each masked conv computes
+        only its kept filters.
         """
         x = Tensor(images, dtype=self.dtype)
         taps = _hint_tap_items(self.arch, hint_ids)
@@ -259,12 +261,14 @@ class ModelHierarchy:
                 return ad.conv2d(t, state.stem.value, it.stride, it.padding)
             w = weights[it.label]
             if it.maskable:
-                pre, out = masked_conv2d(t, w.value, state.mask.layers[it.layer_id],
-                                         it.stride, it.padding)
-                if want_context:
-                    out.retain_grad()
-                    contexts[it.layer_id] = LayerContext(
-                        it.layer_id, t, pre, out, w, it.stride, it.padding)
+                mask = state.mask.layers[it.layer_id]
+                if not want_context:
+                    return kept_filter_conv2d(t, w.value, mask, it.stride,
+                                              it.padding)
+                pre, out = masked_conv2d(t, w.value, mask, it.stride, it.padding)
+                out.retain_grad()
+                contexts[it.layer_id] = LayerContext(
+                    it.layer_id, t, pre, out, w, it.stride, it.padding)
                 return out
             return ad.conv2d(t, w.value, it.stride, it.padding)
 
@@ -272,7 +276,8 @@ class ModelHierarchy:
             if isinstance(it, ConvL):
                 t = run_conv(it, t)
             elif isinstance(it, DWConvL):
-                t = ad.depthwise_conv2d(t, weights[it.label].value, it.stride)
+                t = ad.depthwise_conv2d(t, weights[it.label].value, it.stride,
+                                        it.padding)
             elif isinstance(it, BNL):
                 t = ad.batch_norm(t, state.bns[bn_idx], mode=mode)
                 bn_idx += 1

@@ -9,10 +9,10 @@ to be wrong in the same way as the real code.
 import numpy as np
 
 
-def conv2d_loops(x, w, stride=1, padding="same"):
-    """Cross-correlation by six nested loops. x (N,C,H,W), w (K,K,Cin,Cout)."""
+def _padded(x, k, stride, padding):
+    """x zero-padded for a KxK window (extra pixel bottom/right), with the
+    output size and the top/left padding."""
     n, c, h, wd = x.shape
-    k = w.shape[0]
     if padding == "same":
         ho = -(-h // stride)
         wo = -(-wd // stride)
@@ -21,12 +21,19 @@ def conv2d_loops(x, w, stride=1, padding="same"):
         pt, pl = ph // 2, pw // 2
         xp = np.zeros((n, c, h + ph, wd + pw), dtype=x.dtype)
         xp[:, :, pt:pt + h, pl:pl + wd] = x
-    elif padding == "valid":
-        ho = (h - k) // stride + 1
-        wo = (wd - k) // stride + 1
-        xp = x
-    else:
+        return xp, ho, wo, pt, pl
+    if padding != "valid":
         raise ValueError(padding)
+    ho = (h - k) // stride + 1
+    wo = (wd - k) // stride + 1
+    return x, ho, wo, 0, 0
+
+
+def conv2d_loops(x, w, stride=1, padding="same"):
+    """Cross-correlation by six nested loops. x (N,C,H,W), w (K,K,Cin,Cout)."""
+    n, c, h, wd = x.shape
+    k = w.shape[0]
+    xp, ho, wo, _, _ = _padded(x, k, stride, padding)
     cout = w.shape[3]
     y = np.zeros((n, cout, ho, wo), dtype=x.dtype)
     for b in range(n):
@@ -43,22 +50,27 @@ def conv2d_loops(x, w, stride=1, padding="same"):
     return y
 
 
-def _padded(x, k, stride, padding):
-    """x zero-padded for a KxK window (extra pixel bottom/right), with the
-    output size and the top/left padding."""
+def conv2d_vjp_loops(x, w, g, stride=1, padding="same"):
+    """Gradients of sum(g * conv2d(x, w)) with respect to x and w, by the
+    same loops as the forward: each product xp[b, ci, i*s+u, j*s+v] *
+    w[u, v, ci, f] sends g[b, f, i, j] times the other factor to each
+    operand."""
     n, c, h, wd = x.shape
-    if padding == "same":
-        ho = -(-h // stride)
-        wo = -(-wd // stride)
-        ph = max((ho - 1) * stride + k - h, 0)
-        pw = max((wo - 1) * stride + k - wd, 0)
-        pt, pl = ph // 2, pw // 2
-        xp = np.zeros((n, c, h + ph, wd + pw), dtype=x.dtype)
-        xp[:, :, pt:pt + h, pl:pl + wd] = x
-        return xp, ho, wo, pt, pl
-    ho = (h - k) // stride + 1
-    wo = (wd - k) // stride + 1
-    return x, ho, wo, 0, 0
+    k = w.shape[0]
+    xp, ho, wo, pt, pl = _padded(x, k, stride, padding)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for f in range(w.shape[3]):
+            for i in range(ho):
+                for j in range(wo):
+                    for ci in range(c):
+                        for u in range(k):
+                            for v in range(k):
+                                r, q = i * stride + u, j * stride + v
+                                gxp[b, ci, r, q] += g[b, f, i, j] * w[u, v, ci, f]
+                                gw[u, v, ci, f] += g[b, f, i, j] * xp[b, ci, r, q]
+    return gxp[:, :, pt:pt + h, pl:pl + wd], gw
 
 
 def depthwise_conv2d_loops(x, w, stride=1, padding="same"):

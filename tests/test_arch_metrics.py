@@ -98,6 +98,18 @@ class TestParser:
             parse_arch("input c=1 h=2 w=2\nconv k=5 in=1 out=2 pad=valid\n"
                        "classifier in=8 out=2\n")
 
+    def test_dwconv_valid_padding_is_priced(self):
+        """A valid 3x3 depthwise conv shrinks 6x6 to 4x4, so the flattened
+        classifier sees 4*4*4 = 64 inputs: 64*2 = 128 FLOPs."""
+        spec = parse_arch("input c=2 h=6 w=6\n"
+                          "conv k=3 in=2 out=4 maskable=false\nbn\nrelu\n"
+                          "dwconv k=3 pad=valid\nbn\nrelu\n"
+                          "classifier in=64 out=2\n")
+        rows = {r.label: r for r in count_stats(spec).layers}
+        assert rows["dwconv0"].out_shape == (4, 4, 4)
+        assert rows["dwconv0"].flops == 3 * 3 * 4 * 4 * 4
+        assert rows["classifier"].flops == 128
+
     def test_comments_and_blanks_ignored(self):
         spec = parse_arch("# header\ninput c=1 h=1 w=1\n\n"
                           "conv k=1 in=1 out=2  # inline\n"

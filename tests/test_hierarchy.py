@@ -202,6 +202,60 @@ class TestForward:
         with pytest.raises(HierarchyError, match="hint"):
             h.forward_slot(0, batch()[0], hint_ids=(99,))
 
+    def test_valid_depthwise_padding_runs(self):
+        text = ("input c=2 h=6 w=6\n"
+                "conv k=3 in=2 out=4 maskable=false\nbn\nrelu\n"
+                "dwconv k=3 pad=valid\nbn\nrelu\n"
+                "classifier in=64 out=2\n")
+        h = ModelHierarchy(parse_arch(text), [0.5, 1.0])
+        x = np.random.default_rng(9).random((1, 2, 6, 6))
+        assert h.forward_slot(0, x).logits.shape == (1, 2)
+
+
+RESIDUAL_TOY = """
+input c=2 h=8 w=8
+conv k=3 in=2 out=8 maskable=false
+bn
+relu
+block proj=true
+  conv k=3 in=8 out=12 stride=2
+  bn
+  relu
+  conv k=3 in=12 out=12
+  bn
+block
+  conv k=3 in=12 out=12
+  bn
+dwconv k=3
+bn
+relu
+conv k=1 in=12 out=10
+bn
+relu
+pool kind=gap
+classifier in=10 out=3
+"""
+
+
+class TestKeptFilterForward:
+    @pytest.mark.parametrize("text", [TOY, RESIDUAL_TOY], ids=["plain", "residual"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_slot0_logits_do_not_depend_on_context(self, text, mode):
+        """Without saved contexts the student's masked convs compute only
+        their kept filters; its logits match the full-width pass within
+        f32 rounding."""
+        arch = parse_arch(text)
+        x = np.random.default_rng(8).random((4, arch.in_c, 8, 8))
+        logits = {}
+        for want in (True, False):
+            h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=2)
+            fw = h.forward_slot(0, x, mode=mode, want_context=want)
+            assert bool(fw.contexts) == want
+            logits[want] = fw.logits.data
+        assert not all(v.all() for v in h.student.state.mask.layers.values())
+        np.testing.assert_allclose(logits[False], logits[True], rtol=1e-5,
+                                   atol=1e-5 * np.abs(logits[True]).max())
+
 
 def run_losses_and_backward(h, x, labels, slot_scales=None):
     """Plain cross-entropy per slot, optionally scaled, one backward."""
