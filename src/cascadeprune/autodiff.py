@@ -19,7 +19,6 @@ import contextlib
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -528,6 +527,22 @@ def dense(x: Tensor, w: Tensor) -> Tensor:
     return _make(y, "dense", (x, w), bwd)
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an (N,C,H,W) array: the batch axis first (N-1
+    whole-array adds), then each channel's H*W run. Summing over axes
+    (0, 2, 3) in one call is several times slower on small maps."""
+    return a.sum(axis=0).reshape(a.shape[1], -1).sum(axis=1)
+
+
+def _spread(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """A per-channel vector repeated over H*W, as a (1,C,H,W) array. An
+    elementwise op against it broadcasts over the batch axis only, in runs
+    of C*H*W values; against v.reshape(1,C,1,1) the runs are H*W long,
+    which on a 2x2 map costs more than the arithmetic."""
+    _, c, h, w = shape
+    return np.repeat(v, h * w).reshape(1, c, h, w)
+
+
 def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
                momentum: float = 0.9, epsilon: float = 1e-5) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
@@ -536,6 +551,15 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     by an exponential average (running = momentum*running + (1-m)*batch);
     eval mode normalizes by the running stats. Affine transform applied in
     both modes.
+
+    Every per-channel reduction sums the batch axis first and then each
+    channel's H*W values. The variance is the biased mean of the squared
+    centred input xc = x - mean, and y = xc * (gamma * inv_std) + beta
+    with inv_std = 1/sqrt(var + epsilon). Train mode keeps xc for the
+    backward; eval mode keeps nothing beyond x. The train backward needs
+    only the two reductions gbeta = sum(g) and ggamma = sum(g * xhat),
+    xhat = xc * inv_std:
+    gx = gamma * inv_std * (g - gbeta/m - xhat * ggamma/m), m = N*H*W.
     """
     if x.data.ndim != 4 or x.shape[1] != state.channels:
         raise ShapeError(f"batch_norm expects (N,{state.channels},H,W), got {x.shape}")
@@ -543,82 +567,157 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     gamma, beta = state.gamma.value, state.beta.value
     _check_same_dtype(x, gamma, beta)
-    gsh = (1, state.channels, 1, 1)
+    shape = x.shape
+    m = shape[0] * shape[2] * shape[3]
 
     if mode == "train":
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + epsilon)
-        xhat = (x.data - mu.reshape(gsh)) * inv_std.reshape(gsh)
+        mu = _channel_sum(x.data) / m
+        xc = x.data - _spread(mu, shape)
+        y = np.multiply(xc, xc)
+        var = _channel_sum(y) / m
         state.running_mean = (momentum * state.running_mean
                               + (1.0 - momentum) * mu).astype(x.dtype)
         state.running_var = (momentum * state.running_var
                              + (1.0 - momentum) * var).astype(x.dtype)
-        m = x.shape[0] * x.shape[2] * x.shape[3]
+    else:
+        mu, var = state.running_mean, state.running_var
+        xc = None  # the eval backward recentres x itself
+        y = np.subtract(x.data, _spread(mu, shape))
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    k = gamma.data * inv_std
+    np.multiply(y if xc is None else xc, _spread(k, shape), out=y)
+    y += _spread(beta.data, shape)
 
-        def bwd_train(g: np.ndarray):
-            ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            gx = None
-            if x.requires_grad:
-                gxhat = g * gamma.data.reshape(gsh)
-                s1 = gxhat.sum(axis=(0, 2, 3)).reshape(gsh)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3)).reshape(gsh)
-                gx = (inv_std.reshape(gsh) / m) * (m * gxhat - s1 - xhat * s2)
-            return gx, ggamma, gbeta
-
-        y = gamma.data.reshape(gsh) * xhat + beta.data.reshape(gsh)
-        return _make(y, "batch_norm", (x, gamma, beta), bwd_train)
-
-    inv_std = 1.0 / np.sqrt(state.running_var + epsilon)
-    xhat = (x.data - state.running_mean.reshape(gsh)) * inv_std.reshape(gsh)
+    def bwd_train(g: np.ndarray):
+        buf = np.multiply(g, xc)
+        ggamma = _channel_sum(buf) * inv_std
+        gbeta = _channel_sum(g)
+        gx = None
+        if x.requires_grad:
+            # g - gbeta/m - xhat * ggamma/m, then times gamma * inv_std
+            np.multiply(xc, _spread(-inv_std * ggamma / m, shape), out=buf)
+            buf -= _spread(gbeta / m, shape)
+            buf += g
+            buf *= _spread(k, shape)
+            gx = buf
+        return (gx, ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
 
     def bwd_eval(g: np.ndarray):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        gx = g * (gamma.data * inv_std).reshape(gsh) if x.requires_grad else None
+        ggamma = gbeta = gx = None
+        if gamma.requires_grad:
+            buf = np.subtract(x.data, _spread(mu, shape))
+            buf *= g
+            ggamma = _channel_sum(buf) * inv_std
+        if beta.requires_grad:
+            gbeta = _channel_sum(g)
+        if x.requires_grad:
+            gx = np.multiply(g, _spread(k, shape))
         return gx, ggamma, gbeta
 
-    y = gamma.data.reshape(gsh) * xhat + beta.data.reshape(gsh)
-    return _make(y, "batch_norm", (x, gamma, beta), bwd_eval)
+    return _make(y, "batch_norm", (x, gamma, beta),
+                 bwd_train if mode == "train" else bwd_eval)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    y = np.where(mask, x.data, x.data.dtype.type(0))
+    """max(x, 0) as np.fmax(x, 0): NaN and -0.0 both give +0.0. The
+    gradient passes where the output is positive (g * (y > 0))."""
+    y = np.fmax(x.data, x.dtype.type(0))
 
     def bwd(g: np.ndarray):
-        return (g * mask,)
+        return (g * (y > 0),)
 
     return _make(y, "relu", (x,), bwd)
 
 
+def _pool_taps(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> list:
+    """The K*K strided slices of an NCHW array that the pooling taps read,
+    in scan order: tap i*k + j of output pixel (a, b) is xp[a*s + i, b*s + j]."""
+    return [xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            for i in range(k) for j in range(k)]
+
+
+def _first_max_tap(taps: list, y: np.ndarray) -> np.ndarray:
+    """For each output pixel, the first tap in scan order that holds the
+    window maximum y (or, where y is NaN, the first NaN), in the smallest
+    unsigned type that holds every tap index (uint8 up to 16x16 windows).
+
+    Taps are matched in reverse scan order, each match overwriting the
+    index by unsigned arithmetic (idx -= match * (idx - t), modulo the
+    type's range), so the first match is the one that stays; masked
+    writes are far slower."""
+    dtype = np.min_scalar_type(len(taps) - 1)
+    idx = np.zeros(y.shape, dtype=dtype)
+    match = np.empty(y.shape, dtype=bool)
+    step = np.empty(y.shape, dtype=dtype)
+    y_nan = np.isnan(y)
+    if not y_nan.any():
+        y_nan = None
+    for t in range(len(taps) - 1, -1, -1):
+        np.equal(taps[t], y, out=match)
+        if y_nan is not None:
+            match |= np.isnan(taps[t]) & y_nan
+        np.subtract(idx, dtype.type(t), out=step)
+        step *= match
+        idx -= step
+    return idx
+
+
+def _has_negative_zero(a: np.ndarray) -> bool:
+    """Whether a holds a -0.0: its bit pattern is the smallest signed
+    integer of the same width, which no other float value has."""
+    ints = a.view(np.dtype(f"i{a.itemsize}"))
+    return a.size > 0 and ints.min() == np.iinfo(ints.dtype).min
+
+
 def max_pool(x: Tensor, k: int, stride: int, padding: str = "valid") -> Tensor:
-    """Max pooling; gradient goes to the first argmax in scan order.
+    """Max pooling; the gradient goes to the first maximum in scan order.
 
     'valid' drops ragged edges; 'same' pads with -inf so padded cells can
     never win a window.
+
+    The forward is a loop over the K*K taps, y = maximum(y, tap): a window
+    holding a NaN gives NaN. Ties between -0.0 and +0.0 keep the first in
+    scan order (np.maximum leaves that choice open, so an input holding a
+    -0.0 takes its values from the first-maximum index instead). Only when
+    x requires grad is that index, one byte per output, kept for the
+    backward, which adds g tap by tap onto the input pixels that won
+    (in reverse scan order, so overlapping windows sum in the order of the
+    windows). A non-finite output gradient reaches every pixel of its
+    window, as in relu's g * mask.
     """
     n, c, h, w = x.shape
     if padding == "valid" and (k > h or k > w):
         raise ShapeError(f"{k}x{k} pooling window does not fit {h}x{w} input")
     (pt, pb, pl, pr), ho, wo = _conv_geometry(h, w, k, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)),
-                constant_values=-np.inf)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, ho, wo, k * k)
-    idx = flat.argmax(axis=4)  # first occurrence on ties
-    y = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
+    xp = x.data
+    if pt or pb or pl or pr:
+        xp = np.full((n, c, h + pt + pb, w + pl + pr), -np.inf, dtype=x.dtype)
+        xp[:, :, pt:pt + h, pl:pl + w] = x.data
+    padded_shape = xp.shape
+    taps = _pool_taps(xp, k, stride, ho, wo)
+    y = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(y, tap, out=y)
+    negative_zero = _has_negative_zero(x.data)
+    idx = None
+    if negative_zero or (_grad_enabled and x.requires_grad):
+        idx = _first_max_tap(taps, y)
+    if negative_zero:
+        for t, tap in enumerate(taps):
+            np.copyto(y, tap, where=idx == t)
 
     def bwd(g: np.ndarray):
-        gxp = np.zeros_like(xp)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        rows = hi * stride + idx // k
-        cols = wi * stride + idx % k
-        np.add.at(gxp, (ni, ci, rows, cols), g)
-        return (gxp[:, :, pt:pt + h, pl:pl + w],)
+        gxp = np.zeros(padded_shape, dtype=g.dtype)
+        windows = _pool_taps(gxp, k, stride, ho, wo)
+        picked = np.empty(g.shape, dtype=g.dtype)
+        for t in range(k * k - 1, -1, -1):
+            np.multiply(g, idx == t, out=picked)
+            windows[t] += picked
+        # no copy unless there is padding to cut off
+        return (np.ascontiguousarray(gxp[:, :, pt:pt + h, pl:pl + w]),)
 
-    return _make(np.ascontiguousarray(y), "max_pool", (x,), bwd)
+    return _make(y, "max_pool", (x,), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

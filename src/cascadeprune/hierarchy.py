@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional, Union
 
 import numpy as np
 
@@ -47,15 +47,6 @@ def derive_ta_keep_ratios(r0: float, divisors) -> list[float]:
             raise ValueError(f"divisors {list(divisors)} do not give strictly "
                              f"increasing ratios: {ratios}")
     return ratios
-
-
-@dataclass(frozen=True)
-class TASchedule:
-    r0: float
-    divisors: tuple = (1.5, 2.5)
-
-    def ratios(self) -> list[float]:
-        return derive_ta_keep_ratios(self.r0, tuple(self.divisors))
 
 
 @dataclass
@@ -207,20 +198,25 @@ class ModelHierarchy:
     # -- forward -------------------------------------------------------------
 
     def forward_all(self, images: np.ndarray, mode: str = "train",
-                    hint_ids=(), want_context: bool = True) -> list[SlotForward]:
+                    hint_ids=(), want_context: Union[bool, Collection[int]] = True
+                    ) -> list[SlotForward]:
         """Run every slot on the same batch.
 
         Each slot applies its own mask, BN state, stem, and head on top of
-        the shared kernels. For every masked conv the slot saves a context
-        (input, raw output, masked output with a retained gradient) so the
-        cascade can form score gradients after one backward pass. Without
-        want_context no context is saved, and each masked conv computes
-        only its kept filters.
+        the shared kernels. For every masked conv a slot that wants
+        contexts saves one (input, raw output, masked output with a
+        retained gradient) so the cascade can form score gradients after
+        one backward pass. want_context is True (every slot), False (no
+        slot) or the indices of the slots that save contexts; score
+        routing reads slots 1 and up, and slot 0 only with include_own. A
+        slot that saves none computes only its kept filters.
         """
+        if isinstance(want_context, bool):
+            want_context = range(len(self.slots)) if want_context else ()
         x = Tensor(images, dtype=self.dtype)
         taps = _hint_tap_items(self.arch, hint_ids)
         return [self._forward_one(x, self.shared, slot.state, mode, taps,
-                                  want_context)
+                                  slot.index in want_context)
                 for slot in self.slots]
 
     def forward_slot(self, index: int, images: np.ndarray, mode: str = "eval",
@@ -338,8 +334,13 @@ class ModelHierarchy:
             for lid, ctx in forwards[i + 1].contexts.items():
                 grads[i][lid] = self._context_grad(ctx)
                 if include_own:
-                    grads[i][lid] = grads[i][lid] + \
-                        self._context_grad(forwards[i].contexts[lid])
+                    own = forwards[i].contexts.get(lid)
+                    if own is None:
+                        raise HierarchyError(
+                            f"slot {i} layer {lid}: no saved context for "
+                            "include_own; run the forward with contexts "
+                            "for this slot")
+                    grads[i][lid] = grads[i][lid] + self._context_grad(own)
         return grads
 
     @staticmethod

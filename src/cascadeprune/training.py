@@ -258,8 +258,11 @@ class Trainer:
         hint_ids = self._hint_ids()
         slots = len(h.slots)
         for images, one_hot in self._epoch_batches():
+            # routing reads the contexts of slots 1 and up; slot 0 saves
+            # none and computes only its kept filters
             forwards = h.forward_all(images, mode="train", hint_ids=hint_ids,
-                                     want_context=update_scores)
+                                     want_context=range(1, slots)
+                                     if update_scores else False)
             frozen_fwd = None
             if self._needs_teacher():
                 frozen_fwd = h.forward_frozen(images, hint_ids=hint_ids)

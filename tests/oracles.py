@@ -9,9 +9,9 @@ to be wrong in the same way as the real code.
 import numpy as np
 
 
-def _padded(x, k, stride, padding):
-    """x zero-padded for a KxK window (extra pixel bottom/right), with the
-    output size and the top/left padding."""
+def _padded(x, k, stride, padding, fill=0.0):
+    """x padded with fill for a KxK window (extra pixel bottom/right), with
+    the output size and the top/left padding."""
     n, c, h, wd = x.shape
     if padding == "same":
         ho = -(-h // stride)
@@ -19,7 +19,7 @@ def _padded(x, k, stride, padding):
         ph = max((ho - 1) * stride + k - h, 0)
         pw = max((wo - 1) * stride + k - wd, 0)
         pt, pl = ph // 2, pw // 2
-        xp = np.zeros((n, c, h + ph, wd + pw), dtype=x.dtype)
+        xp = np.full((n, c, h + ph, wd + pw), fill, dtype=x.dtype)
         xp[:, :, pt:pt + h, pl:pl + wd] = x
         return xp, ho, wo, pt, pl
     if padding != "valid":
@@ -128,41 +128,102 @@ def dense_loops(x, w):
     return y
 
 
-def max_pool_loops(x, k, stride):
-    """Valid-window max pooling by explicit window scans."""
-    n, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
+def _first_max(xp, b, ci, i, j, k, stride):
+    """(row, col) in xp of the first maximum of one pooling window in scan
+    order; a NaN beats every number, and the first NaN wins."""
+    best, at = None, None
+    for u in range(k):
+        for v in range(k):
+            r, q = i * stride + u, j * stride + v
+            val = xp[b, ci, r, q]
+            if best is None or (not np.isnan(best)
+                                and (np.isnan(val) or val > best)):
+                best, at = val, (r, q)
+    return at
+
+
+def max_pool_loops(x, k, stride, padding="valid"):
+    """Max pooling by explicit window scans; 'same' pads with -inf. Each
+    output is the window's first maximum in scan order, sign of a zero
+    included."""
+    xp, ho, wo, _, _ = _padded(x, k, stride, padding, fill=-np.inf)
+    n, c = x.shape[:2]
     y = np.zeros((n, c, ho, wo), dtype=x.dtype)
     for b in range(n):
         for ci in range(c):
             for i in range(ho):
                 for j in range(wo):
-                    best = -np.inf
-                    for u in range(k):
-                        for v in range(k):
-                            val = x[b, ci, i * stride + u, j * stride + v]
-                            if val > best:
-                                best = val
-                    y[b, ci, i, j] = best
+                    y[b, ci, i, j] = xp[(b, ci) + _first_max(xp, b, ci, i, j,
+                                                             k, stride)]
     return y
 
 
-def batch_norm_loops(x, gamma, beta, eps=1e-5):
-    """Train-mode batch norm per channel, biased variance."""
+def max_pool_vjp_loops(x, g, k, stride, padding="valid"):
+    """The input gradient of max pooling: each output's g lands on its
+    window's first maximum, and overlapping windows add up."""
+    xp, ho, wo, pt, pl = _padded(x, k, stride, padding, fill=-np.inf)
+    n, c, h, wd = x.shape
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    for b in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    r, q = _first_max(xp, b, ci, i, j, k, stride)
+                    gxp[b, ci, r, q] += g[b, ci, i, j]
+    return gxp[:, :, pt:pt + h, pl:pl + wd]
+
+
+def _bn_stats(x, ci, mean, var):
+    """Channel ci's batch mean and biased variance, or the given ones."""
+    if mean is not None:
+        return mean[ci], var[ci]
+    n, _, h, w = x.shape
+    vals = [x[b, ci, i, j] for b in range(n) for i in range(h) for j in range(w)]
+    mu = sum(vals) / len(vals)
+    return mu, sum((v - mu) ** 2 for v in vals) / len(vals)
+
+
+def batch_norm_loops(x, gamma, beta, eps=1e-5, mean=None, var=None):
+    """Batch norm per channel: train mode (batch statistics, biased
+    variance), or eval mode when the running mean and var are given."""
     n, c, h, w = x.shape
     y = np.zeros_like(x)
-    m = n * h * w
     for ci in range(c):
-        vals = [x[b, ci, i, j] for b in range(n) for i in range(h) for j in range(w)]
-        mu = sum(vals) / m
-        var = sum((v - mu) ** 2 for v in vals) / m
+        mu, v = _bn_stats(x, ci, mean, var)
         for b in range(n):
             for i in range(h):
                 for j in range(w):
                     y[b, ci, i, j] = gamma[ci] * (x[b, ci, i, j] - mu) \
-                        / np.sqrt(var + eps) + beta[ci]
+                        / np.sqrt(v + eps) + beta[ci]
     return y
+
+
+def batch_norm_vjp_loops(x, gamma, g, eps=1e-5, mean=None, var=None):
+    """(gx, ggamma, gbeta) of batch_norm_loops. In train mode the input
+    gradient carries the paths through the batch mean and variance:
+    gx = gamma/sqrt(var+eps) * (g - sum(g)/m - xhat * sum(g*xhat)/m)."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    gx = np.zeros_like(x)
+    ggamma = np.zeros(c)
+    gbeta = np.zeros(c)
+    for ci in range(c):
+        mu, v = _bn_stats(x, ci, mean, var)
+        inv = 1.0 / np.sqrt(v + eps)
+        for b in range(n):
+            for i in range(h):
+                for j in range(w):
+                    gbeta[ci] += g[b, ci, i, j]
+                    ggamma[ci] += g[b, ci, i, j] * (x[b, ci, i, j] - mu) * inv
+        for b in range(n):
+            for i in range(h):
+                for j in range(w):
+                    d = g[b, ci, i, j]
+                    if mean is None:
+                        d -= (gbeta[ci] + (x[b, ci, i, j] - mu) * inv
+                              * ggamma[ci]) / m
+                    gx[b, ci, i, j] = gamma[ci] * inv * d
+    return gx, ggamma, gbeta
 
 
 def kl_term_loops(t_logits, s_logits, tau):

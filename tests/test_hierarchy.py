@@ -8,7 +8,7 @@ import pytest
 import cascadeprune.autodiff as ad
 from cascadeprune.arch import parse_arch
 from cascadeprune.distill import slot_loss, DistillConfig
-from cascadeprune.hierarchy import (HierarchyError, ModelHierarchy, TASchedule,
+from cascadeprune.hierarchy import (HierarchyError, ModelHierarchy,
                                     derive_ta_keep_ratios)
 from cascadeprune.masking import PruneConfig, build_mask, surrogate_gamma_grad
 import oracles
@@ -64,10 +64,6 @@ class TestRatioSchedule:
         for r0 in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 derive_ta_keep_ratios(r0, [1.5])
-
-    def test_schedule_wrapper(self):
-        s = TASchedule(0.3)
-        np.testing.assert_allclose(s.ratios(), [0.3, 1 - 0.7 / 1.5, 0.72, 1.0])
 
 
 class TestConstruction:
@@ -257,9 +253,9 @@ class TestKeptFilterForward:
                                    atol=1e-5 * np.abs(logits[True]).max())
 
 
-def run_losses_and_backward(h, x, labels, slot_scales=None):
+def run_losses_and_backward(h, x, labels, slot_scales=None, want_context=True):
     """Plain cross-entropy per slot, optionally scaled, one backward."""
-    fws = h.forward_all(x, mode="train")
+    fws = h.forward_all(x, mode="train", want_context=want_context)
     total = None
     for i, fw in enumerate(fws):
         ce = ad.softmax_cross_entropy(fw.logits, labels)
@@ -331,6 +327,39 @@ class TestGammaRouting:
                 own = surrogate_gamma_grad(own_ctx.out.grad, own_ctx.x.data,
                                            own_ctx.weight.data)
                 assert np.array_equal(with_own[i][lid], plain[i][lid] + own)
+
+    def test_routing_needs_no_slot0_context(self):
+        """Slot 0 saving no contexts (so computing only its kept filters)
+        leaves every routed gradient bit for bit as with all contexts."""
+        x, labels = batch(15)
+        grads = {}
+        for want in (True, range(1, 3)):
+            h = toy_hierarchy(dtype="f64")
+            fws = run_losses_and_backward(h, x, labels, want_context=want)
+            assert bool(fws[0].contexts) == (want is True)
+            assert all(fw.contexts for fw in fws[1:])
+            grads[want is True] = h.route_gamma_gradients(fws)
+        assert grads[True].keys() == grads[False].keys()
+        for i in grads[True]:
+            assert grads[True][i].keys() == grads[False][i].keys()
+            for lid in grads[True][i]:
+                assert np.array_equal(grads[True][i][lid], grads[False][i][lid])
+
+    def test_want_context_per_slot(self):
+        h = toy_hierarchy()
+        x, _ = batch(16)
+        fws = h.forward_all(x, mode="train", want_context=[0, 2])
+        assert [bool(fw.contexts) for fw in fws] == [True, False, True]
+        fws = h.forward_all(x, mode="train", want_context=False)
+        assert not any(fw.contexts for fw in fws)
+
+    def test_own_gradient_without_own_context_names_slot_and_layer(self):
+        h = toy_hierarchy(dtype="f64")
+        x, labels = batch(17)
+        fws = run_losses_and_backward(h, x, labels, want_context=range(1, 3))
+        lid = min(fws[1].contexts)
+        with pytest.raises(HierarchyError, match=f"slot 0 layer {lid}"):
+            h.route_gamma_gradients(fws, include_own=True)
 
     def test_missing_backward_raises(self):
         h = toy_hierarchy()

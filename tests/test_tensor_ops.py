@@ -422,6 +422,201 @@ class TestBatchNorm:
             ad.batch_norm(ad.Tensor(np.zeros((1, 4, 2, 2))), bn)
 
 
+def backward_of(y, g):
+    """Backprop sum(y * g) into whatever requires grad."""
+    ad.backward(ad.tensor_sum(ad.mul_const(y, g)))
+
+
+def assert_f32_c_order(*arrays):
+    for a in arrays:
+        assert a.dtype == np.float32 and a.flags.c_contiguous
+
+
+def op_grads(y, g):
+    """The gradients y's op hands its parents, before the backward sweep
+    copies them into leaves."""
+    return [pg for pg in y._backward(g) if pg is not None]
+
+
+class TestBatchNormKernel:
+    """batch_norm in f32 against the f64 loop oracles, forward and
+    backward, in both modes, on 2x2 and 4x4 maps and odd sizes."""
+
+    SHAPES = [(4, 3, 2, 2), (3, 5, 4, 4), (5, 3, 3, 5), (6, 4, 1, 1)]
+
+    @staticmethod
+    def state(rng, c):
+        bn = ad.BatchNormState("bn", c)
+        bn.gamma.assign(rng.standard_normal(c))
+        bn.beta.assign(rng.standard_normal(c))
+        bn.running_mean = rng.standard_normal(c).astype(np.float32)
+        bn.running_var = (0.5 + rng.random(c)).astype(np.float32)
+        return bn
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_f32_matches_f64_reference(self, shape, mode):
+        rng = np.random.default_rng(36)
+        x0 = (1.0 + 2.0 * rng.standard_normal(shape)).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        bn = self.state(rng, shape[1])
+        stats = {} if mode == "train" else {
+            "mean": bn.running_mean.astype(np.float64),
+            "var": bn.running_var.astype(np.float64)}
+        args = (x0.astype(np.float64), bn.gamma.data.astype(np.float64))
+        want_y = oracles.batch_norm_loops(*args, bn.beta.data.astype(np.float64),
+                                          **stats)
+        want = oracles.batch_norm_vjp_loops(*args, g.astype(np.float64), **stats)
+        x = ad.Tensor(x0, requires_grad=True)
+        y = ad.batch_norm(x, bn, mode=mode)
+        backward_of(y, g)
+        got = (x.grad, bn.gamma.grad, bn.beta.grad)
+        assert_f32_c_order(y.data, *got, *op_grads(y, g))
+        np.testing.assert_allclose(y.data, want_y, rtol=1e-5, atol=1e-5)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-4,
+                                       atol=1e-5 * max(1.0, np.abs(b).max()))
+
+    def test_train_backward_without_parameter_grads(self):
+        """A frozen state still passes the full input gradient."""
+        rng = np.random.default_rng(37)
+        x0 = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
+        g = rng.standard_normal(x0.shape).astype(np.float32)
+        grads = []
+        for trainable in (True, False):
+            bn = self.state(np.random.default_rng(38), 2)
+            for p in (bn.gamma, bn.beta):
+                p.value.requires_grad = trainable
+            x = ad.Tensor(x0, requires_grad=True)
+            backward_of(ad.batch_norm(x, bn), g)
+            assert (bn.gamma.value.grad is None) == (not trainable)
+            grads.append(x.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_train_backward_memory_bound(self):
+        """The backward works in one full-size buffer: its peak allocation
+        stays below 3 times the input's bytes (4.0x before the rewrite,
+        2.1x now, the incoming gradient included)."""
+        rng = np.random.default_rng(39)
+        x = ad.Tensor(rng.standard_normal((8, 64, 32, 32)).astype(np.float32),
+                      requires_grad=True)
+        bn = ad.BatchNormState("bn", 64)
+        y = ad.batch_norm(x, bn, mode="train")
+        loss = ad.tensor_sum(ad.mul_const(y, rng.standard_normal(y.shape)))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and bn.gamma.grad is not None
+        assert peak < 3 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
+
+
+class TestMaxPoolKernel:
+    """max_pool in f32 against the f64 loop oracles: 2x2 and 4x4 maps,
+    odd sizes, and overlapping 3x3 stride-2 'same' windows."""
+
+    CASES = [((2, 3, 4, 4), 2, 2, "valid"), ((2, 3, 2, 2), 2, 2, "valid"),
+             ((2, 2, 7, 5), 2, 2, "valid"), ((2, 2, 7, 7), 3, 2, "same"),
+             ((1, 3, 4, 4), 3, 2, "same"), ((2, 2, 5, 6), 3, 1, "same"),
+             ((2, 2, 6, 6), 3, 3, "valid"), ((1, 2, 5, 5), 2, 1, "valid")]
+
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_f32_matches_f64_reference(self, shape, k, stride, pad):
+        rng = np.random.default_rng(45)
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        x = ad.Tensor(x0, requires_grad=True)
+        y = ad.max_pool(x, k, stride, pad)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        backward_of(y, g)
+        assert_f32_c_order(y.data, x.grad, *op_grads(y, g))
+        x64 = x0.astype(np.float64)
+        assert np.array_equal(y.data, oracles.max_pool_loops(x64, k, stride, pad))
+        np.testing.assert_allclose(
+            x.grad, oracles.max_pool_vjp_loops(x64, g.astype(np.float64), k,
+                                               stride, pad), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_ties_go_to_the_first_maximum(self, shape, k, stride, pad):
+        """On a few integer levels most windows tie; the gradient must land
+        on the first maximum in scan order, bit for bit."""
+        rng = np.random.default_rng(46)
+        x0 = oracles.int_tensor(rng, shape, lo=0, hi=3)
+        x = ad.Tensor(x0, requires_grad=True)
+        y = ad.max_pool(x, k, stride, pad)
+        g = oracles.int_tensor(rng, y.shape, lo=1, hi=9)
+        backward_of(y, g)
+        assert np.array_equal(x.grad, oracles.max_pool_vjp_loops(x0, g, k, stride, pad))
+
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_nan_and_signed_zero(self, shape, k, stride, pad):
+        """A window holding a NaN gives NaN and sends its gradient to the
+        first NaN; a window whose maximum is a zero keeps the sign of the
+        first zero. Without grad the forward is the same bit for bit."""
+        rng = np.random.default_rng(47)
+        x0 = rng.choice(np.array([-0.0, 0.0, -1.0, np.nan], dtype=np.float32),
+                        size=shape, p=[0.4, 0.4, 0.1, 0.1])
+        x = ad.Tensor(x0, requires_grad=True)
+        y = ad.max_pool(x, k, stride, pad)
+        g = oracles.int_tensor(rng, y.shape, lo=1, hi=9, dtype=np.float32)
+        backward_of(y, g)
+        want = oracles.max_pool_loops(x0.astype(np.float64), k, stride, pad)
+        assert np.array_equal(y.data, want, equal_nan=True)
+        assert np.array_equal(np.signbit(y.data), np.signbit(want))
+        assert np.array_equal(x.grad, oracles.max_pool_vjp_loops(
+            x0.astype(np.float64), g, k, stride, pad))
+        with ad.no_grad():
+            plain = ad.max_pool(ad.Tensor(x0), k, stride, pad).data
+        assert np.array_equal(plain.view(np.uint32), y.data.view(np.uint32))
+
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_no_grad_forward_equals_graph_forward(self, shape, k, stride, pad):
+        rng = np.random.default_rng(48)
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        graph = ad.max_pool(ad.Tensor(x0, requires_grad=True), k, stride, pad)
+        with ad.no_grad():
+            plain = ad.max_pool(ad.Tensor(x0, requires_grad=True), k, stride, pad)
+        assert plain.op == "leaf" and graph.op == "max_pool"
+        assert_f32_c_order(plain.data)
+        assert np.array_equal(plain.data.view(np.uint32), graph.data.view(np.uint32))
+
+    @pytest.mark.parametrize("pad", ["valid", "same"])
+    def test_backward_memory_bound(self, pad):
+        """The backward scatters tap by tap into one input-sized buffer:
+        its peak allocation stays below 3 times the input's bytes (4.8x
+        before the rewrite; 2.0x 'valid' and 2.6x 'same' now, the incoming
+        gradient included)."""
+        rng = np.random.default_rng(49)
+        x = ad.Tensor(rng.standard_normal((8, 64, 32, 32)).astype(np.float32),
+                      requires_grad=True)
+        k = 2 if pad == "valid" else 3
+        y = ad.max_pool(x, k, 2, pad)
+        loss = ad.tensor_sum(ad.mul_const(y, rng.standard_normal(y.shape)))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < 3 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
+
+
+class TestReluSemantics:
+    def test_nan_and_signed_zero(self):
+        """NaN and -0.0 both give +0.0, and neither passes a gradient."""
+        x0 = np.array([[np.nan, -0.0, 0.0, -2.5, 1.5, np.inf, -np.inf]],
+                      dtype=np.float32)
+        x = ad.Tensor(x0, requires_grad=True)
+        y = ad.relu(x)
+        g = np.full(x0.shape, 3.0, dtype=np.float32)
+        backward_of(y, g)
+        assert_f32_c_order(y.data, x.grad, *op_grads(y, g))
+        assert np.array_equal(y.data, [[0.0, 0.0, 0.0, 0.0, 1.5, np.inf, 0.0]])
+        assert not np.signbit(y.data).any()
+        assert np.array_equal(x.grad, [[0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0]])
+
 class TestPoolingAndActivations:
     def test_relu_forward_and_grad(self):
         x = np.array([[-2.0, 0.0, 3.0]])
