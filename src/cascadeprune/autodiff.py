@@ -47,6 +47,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the graph: False inside a no_grad block."""
+    return _grad_enabled
+
+
 def _next_node_id() -> int:
     global _node_counter
     _node_counter += 1
@@ -236,6 +241,18 @@ class BatchNormState:
                               decay_exempt=True)
         self.running_mean = np.zeros(channels, dtype=dt)
         self.running_var = np.ones(channels, dtype=dt)
+
+    def take(self, index: np.ndarray) -> "BatchNormState":
+        """The channels at index as a state of their own, holding gathered
+        copies of gamma, beta and the running statistics. An eval-mode
+        batch_norm over it equals this state's on those channels, bit for
+        bit; nothing written to it reaches this state."""
+        part = BatchNormState("take", len(index), dtype=self.running_mean.dtype)
+        part.gamma = Parameter("take.gamma", self.gamma.data[index], trainable=False)
+        part.beta = Parameter("take.beta", self.beta.data[index], trainable=False)
+        part.running_mean = self.running_mean[index]
+        part.running_var = self.running_var[index]
+        return part
 
 
 # ---------------------------------------------------------------------------

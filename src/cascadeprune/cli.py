@@ -115,8 +115,11 @@ def _add_config_flags(p: argparse.ArgumentParser, keys=None) -> None:
                            help=f"{text} (default: {default})")
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args) -> tuple[dict, set[str]]:
+    """The resolved configuration, and the keys the user set, by flag or
+    in the --config file (those given as null count as not set)."""
     cfg = dict(DEFAULTS)
+    given: set[str] = set()
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise CLIError(f"config file not found: {args.config}")
@@ -134,14 +137,17 @@ def resolve_config(args) -> dict:
                     and not isinstance(value, list):
                 value = typ(value)
             cfg[key] = value
+            if value is not None:
+                given.add(key)
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+            given.add(key)
     if cfg["dataset"] not in ("cifar10", "mnist", "synthetic"):
         raise CLIError(f"dataset must be cifar10, mnist, or synthetic, "
                        f"got {cfg['dataset']!r}")
-    return cfg
+    return cfg, given
 
 
 def resolve_ratios(cfg: dict) -> list[float]:
@@ -156,18 +162,6 @@ def resolve_ratios(cfg: dict) -> list[float]:
     r0 = cfg["keep_ratio"] if cfg["keep_ratio"] is not None \
         else 1.0 - cfg["prune_ratio"]
     return derive_ta_keep_ratios(r0, cfg["ta_divisors"])
-
-
-def _arch_override(args) -> str | None:
-    """The arch the user named, if any: flag first, then the YAML file."""
-    if getattr(args, "arch", None) is not None:
-        return args.arch
-    if getattr(args, "config", None) and os.path.exists(args.config):
-        with open(args.config) as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if isinstance(loaded, dict) and loaded.get("arch") is not None:
-            return str(loaded["arch"])
-    return None
 
 
 def resolve_arch(name_or_path: str) -> ArchSpec:
@@ -313,7 +307,7 @@ def _final_report(trainer: Trainer, test: Dataset) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     if not cfg["out"]:
         raise CLIError("--out is required for train")
     ratios = resolve_ratios(cfg)
@@ -344,7 +338,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = resolve_config(args)
+    cfg, given = resolve_config(args)
     if not args.checkpoint:
         raise CLIError("--checkpoint is required for finetune")
     if not cfg["out"]:
@@ -352,7 +346,7 @@ def cmd_finetune(args) -> int:
     _, meta = load_checkpoint(args.checkpoint)
     if meta.get("kind") != "cascade-train":
         raise CLIError(f"{args.checkpoint}: not a training checkpoint")
-    arch = resolve_arch(_arch_override(args) or meta["arch"])
+    arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
     train, test = resolve_datasets(cfg)
     augment = build_augment(cfg, arch, train)
     h = ModelHierarchy(arch, meta["keep_ratios"], seed=cfg["seed"],
@@ -385,11 +379,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
+    cfg, given = resolve_config(args)
     tensors, meta = load_checkpoint(args.checkpoint)
     if meta.get("kind") != "cascade-train":
         raise CLIError(f"{args.checkpoint}: not a training checkpoint")
-    arch = resolve_arch(_arch_override(args) or meta["arch"])
+    arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
     h = ModelHierarchy(arch, meta["keep_ratios"], seed=cfg["seed"],
                        min_filters=cfg["min_filters"])
     model = {k: v for k, v in tensors.items()

@@ -11,6 +11,23 @@ are updated from slot i+1's saved forward context (its loss gradient at
 each masked conv output, its input activations, and the shared kernel),
 never from slot i's own pass. That is what lets a filter that slot i has
 pruned keep receiving meaningful updates, since slot i+1 still runs it.
+
+One walk over the arch runs a slot in one of three forms:
+
+- On the tape, saving contexts: every activation at full width, each
+  masked conv computing all filters and masking them (masked_conv2d),
+  so that score routing can read the unmasked output.
+- On the tape, without contexts: still full width, but each masked conv
+  computes only its kept filters and places them among zero channels
+  (kept_filter_conv2d).
+- Eval mode with no graph recorded and no contexts (evaluation, the
+  frozen teacher, a fine-tune teacher slot): activations at their live
+  channels only. A pruned filter's output is exactly zero for every
+  input, so what batch norm and the layers after it make of it up to
+  the next conv or dense layer is one input-independent map; it is
+  computed on one image and added into that layer's output. The logits
+  equal the full-width ones up to float summation order, and the cost
+  follows the kept widths that count_stats prices.
 """
 
 from __future__ import annotations
@@ -244,74 +261,59 @@ class ModelHierarchy:
     def _forward_one(self, x: Tensor, weights: dict[str, Parameter],
                      state: SlotState, mode: str, taps: dict[int, str],
                      want_context: bool) -> SlotForward:
-        t = x
-        contexts: dict[int, LayerContext] = {}
+        """The one walk over the arch. An eval pass that records no graph
+        and saves no contexts runs at kept width (_KeptWidth); every other
+        pass records full-width tensors on the tape (_FullWidth)."""
+        if mode == "eval" and not want_context and not ad.grad_enabled():
+            ops = _KeptWidth()
+        else:
+            ops = _FullWidth(mode, want_context)
+        t = ops.start(x)
         hints: dict[str, Tensor] = {}
         bn_idx = 0
         dense_idx = 0
-        flat = False
 
-        def run_conv(it: ConvL, t: Tensor) -> Tensor:
-            nonlocal bn_idx
+        def conv(it: ConvL, t):
             if it is self._stem_spec:
-                return ad.conv2d(t, state.stem.value, it.stride, it.padding)
-            w = weights[it.label]
-            if it.maskable:
-                mask = state.mask.layers[it.layer_id]
-                if not want_context:
-                    return kept_filter_conv2d(t, w.value, mask, it.stride,
-                                              it.padding)
-                pre, out = masked_conv2d(t, w.value, mask, it.stride, it.padding)
-                out.retain_grad()
-                contexts[it.layer_id] = LayerContext(
-                    it.layer_id, t, pre, out, w, it.stride, it.padding)
-                return out
-            return ad.conv2d(t, w.value, it.stride, it.padding)
+                return ops.conv(t, state.stem, None, it)
+            mask = state.mask.layers[it.layer_id] if it.maskable else None
+            return ops.conv(t, weights[it.label], mask, it)
+
+        def bn(t):
+            nonlocal bn_idx
+            bn_idx += 1
+            return ops.bn(t, state.bns[bn_idx - 1])
 
         for idx, it in enumerate(self.arch.items):
             if isinstance(it, ConvL):
-                t = run_conv(it, t)
+                t = conv(it, t)
             elif isinstance(it, DWConvL):
-                t = ad.depthwise_conv2d(t, weights[it.label].value, it.stride,
-                                        it.padding)
+                t = ops.dwconv(t, weights[it.label], it)
             elif isinstance(it, BNL):
-                t = ad.batch_norm(t, state.bns[bn_idx], mode=mode)
-                bn_idx += 1
+                t = bn(t)
             elif isinstance(it, ReLUL):
-                t = ad.relu(t)
+                t = ops.relu(t)
             elif isinstance(it, PoolL):
-                if it.kind == "max":
-                    t = ad.max_pool(t, it.k, it.stride, it.padding)
-                else:
-                    t = ad.global_avg_pool(t)
-                    flat = True
+                t = ops.max_pool(t, it) if it.kind == "max" else ops.gap(t)
             elif isinstance(it, (DenseL, ClassifierL)):
-                if not flat:
-                    t = ad.flatten(t)
-                    flat = True
-                t = ad.dense(t, state.dense[dense_idx].value)
+                t = ops.dense(t, state.dense[dense_idx])
                 dense_idx += 1
             elif isinstance(it, BlockL):
                 entry = t
                 for b in it.body:
                     if isinstance(b, ConvL):
-                        t = run_conv(b, t)
+                        t = conv(b, t)
                     elif isinstance(b, BNL):
-                        t = ad.batch_norm(t, state.bns[bn_idx], mode=mode)
-                        bn_idx += 1
+                        t = bn(t)
                     else:
-                        t = ad.relu(t)
-                if it.proj is not None:
-                    short = run_conv(it.proj, entry)
-                    short = ad.batch_norm(short, state.bns[bn_idx], mode=mode)
-                    bn_idx += 1
-                else:
-                    short = entry
-                t = ad.relu(ad.add(t, short))
+                        t = ops.relu(t)
+                short = bn(conv(it.proj, entry)) if it.proj is not None else entry
+                t = ops.relu(ops.add(t, short))
             if idx in taps:
-                hints[taps[idx]] = t
+                hints[taps[idx]] = ops.full(t)
 
-        return SlotForward(logits=t, hint_maps=hints, contexts=contexts)
+        return SlotForward(logits=ops.full(t), hint_maps=hints,
+                           contexts=ops.contexts)
 
     # -- cascade plumbing ----------------------------------------------------
 
@@ -463,6 +465,208 @@ class ModelHierarchy:
                 bn.beta.assign(table[f"frozen.bn{j}.beta"])
                 bn.running_mean = table[f"frozen.bn{j}.rmean"].copy()
                 bn.running_var = table[f"frozen.bn{j}.rvar"].copy()
+
+
+# ---------------------------------------------------------------------------
+# the two op sets of the forward walk
+# ---------------------------------------------------------------------------
+
+class _FullWidth:
+    """Ops that record on the tape, every activation at full width. A
+    masked conv saves a routing context (masked_conv2d) when the slot
+    wants contexts, and otherwise computes only its kept filters
+    (kept_filter_conv2d)."""
+
+    def __init__(self, mode: str, want_context: bool):
+        self.mode = mode
+        self.want_context = want_context
+        self.contexts: dict[int, LayerContext] = {}
+
+    def start(self, x: Tensor) -> Tensor:
+        return x
+
+    def full(self, t: Tensor) -> Tensor:
+        return t
+
+    def conv(self, t: Tensor, w: Parameter, mask, it: ConvL) -> Tensor:
+        if mask is None:
+            return ad.conv2d(t, w.value, it.stride, it.padding)
+        if not self.want_context:
+            return kept_filter_conv2d(t, w.value, mask, it.stride, it.padding)
+        pre, out = masked_conv2d(t, w.value, mask, it.stride, it.padding)
+        out.retain_grad()
+        self.contexts[it.layer_id] = LayerContext(
+            it.layer_id, t, pre, out, w, it.stride, it.padding)
+        return out
+
+    def dwconv(self, t: Tensor, w: Parameter, it: DWConvL) -> Tensor:
+        return ad.depthwise_conv2d(t, w.value, it.stride, it.padding)
+
+    def bn(self, t: Tensor, bn: BatchNormState) -> Tensor:
+        return ad.batch_norm(t, bn, mode=self.mode)
+
+    def relu(self, t: Tensor) -> Tensor:
+        return ad.relu(t)
+
+    def max_pool(self, t: Tensor, it: PoolL) -> Tensor:
+        return ad.max_pool(t, it.k, it.stride, it.padding)
+
+    def gap(self, t: Tensor) -> Tensor:
+        return ad.global_avg_pool(t)
+
+    def dense(self, t: Tensor, w: Parameter) -> Tensor:
+        if t.data.ndim != 2:
+            t = ad.flatten(t)
+        return ad.dense(t, w.value)
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        return ad.add(a, b)
+
+
+@dataclass
+class _Live:
+    """An activation carried at its live channels.
+
+    data holds the channels listed in live (all `width` channels when
+    live is None). Every other channel is the same for every image: zero
+    when fold is None, else the matching channel of fold, a one-image
+    full-width map (its live channels hold nothing of use). That is what
+    a pruned filter's exact-zero output becomes through batch norm, relu,
+    pooling and depthwise convs up to the next conv or dense layer.
+    """
+    data: np.ndarray
+    width: int
+    live: Optional[np.ndarray] = None
+    fold: Optional[np.ndarray] = None
+
+
+def _dead(live: np.ndarray, width: int) -> np.ndarray:
+    keep = np.ones(width, dtype=bool)
+    keep[live] = False
+    return np.flatnonzero(keep)
+
+
+def _widen(v: _Live, index: np.ndarray) -> np.ndarray:
+    """Channels `index` (sorted, holding every live channel) of v's
+    full-width activation."""
+    if v.live is None or np.array_equal(v.live, index):
+        return v.data
+    n, _, h, w = v.data.shape
+    out = np.empty((n, len(index), h, w), dtype=v.data.dtype)
+    hit = np.zeros(v.width, dtype=bool)
+    hit[v.live] = True
+    sel = hit[index]
+    out[:, sel] = v.data
+    out[:, ~sel] = 0.0 if v.fold is None else v.fold[:, index[~sel]]
+    return out
+
+
+def _narrowed(data: np.ndarray, live: Optional[np.ndarray], width: int,
+              fold: Optional[np.ndarray] = None) -> _Live:
+    """A _Live whose live index is None when it lists every channel."""
+    if live is not None and live.size == width:
+        return _Live(data, width)
+    return _Live(data, width, live, fold)
+
+
+class _KeptWidth:
+    """Ops of an eval pass that records no graph: activations at their
+    live channels (_Live), so a pruned slot pays only for what it keeps.
+
+    A conv gathers the kernel rows of its live inputs and the columns of
+    its kept filters on every call, and adds what the other inputs
+    contribute: one image's conv over the fold, broadcast over the batch.
+    Batch norm, relu, pooling and depthwise convs run on the live
+    channels with gathered per-channel parameters, and on the fold at
+    full width. A residual join keeps the union of its sides' live
+    channels. The result equals the full-width pass up to float summation
+    order in the convs and dense layers, including what pruned channels
+    leak through batch norm.
+    """
+
+    def __init__(self):
+        self.contexts: dict[int, LayerContext] = {}
+
+    def start(self, x: Tensor) -> _Live:
+        return _Live(x.data, x.shape[1])
+
+    def full(self, v: _Live) -> Tensor:
+        if v.live is None:
+            return Tensor(v.data)
+        return Tensor(_widen(v, np.arange(v.width)))
+
+    def conv(self, v: _Live, w: Parameter, mask, it: ConvL) -> _Live:
+        # rows before columns: gathering whole rows first is the faster order
+        kept = None if mask is None or mask.all() else np.flatnonzero(mask)
+        kernel = w.data if v.live is None else np.take(w.data, v.live, axis=2)
+        if kept is not None:
+            kernel = np.take(kernel, kept, axis=3)
+        y = ad.conv2d_raw(v.data, kernel, it.stride, it.padding)
+        if v.fold is not None:
+            dead = _dead(v.live, v.width)
+            f = ad.conv2d_raw(v.fold[:, dead], np.take(w.data, dead, axis=2),
+                              it.stride, it.padding)
+            y += f if kept is None else f[:, kept]
+        return _narrowed(y, kept, w.shape[3])
+
+    def dwconv(self, v: _Live, w: Parameter, it: DWConvL) -> _Live:
+        kernel = w.data if v.live is None else np.take(w.data, v.live, axis=2)
+        y = ad.depthwise_conv2d_raw(v.data, kernel, it.stride, it.padding)
+        fold = None
+        if v.fold is not None:
+            fold = ad.depthwise_conv2d_raw(v.fold, w.data, it.stride, it.padding)
+        return _Live(y, v.width, v.live, fold)
+
+    def bn(self, v: _Live, bn: BatchNormState) -> _Live:
+        if v.live is None:
+            return _Live(ad.batch_norm(Tensor(v.data), bn, mode="eval").data, v.width)
+        y = ad.batch_norm(Tensor(v.data), bn.take(v.live), mode="eval").data
+        fold = v.fold
+        if fold is None:
+            fold = np.zeros((1, v.width) + v.data.shape[2:], dtype=v.data.dtype)
+        fold = ad.batch_norm(Tensor(fold), bn, mode="eval").data
+        return _Live(y, v.width, v.live, fold)
+
+    def _pointwise(self, v: _Live, op) -> _Live:
+        fold = None if v.fold is None else op(Tensor(v.fold)).data
+        return _Live(op(Tensor(v.data)).data, v.width, v.live, fold)
+
+    def relu(self, v: _Live) -> _Live:
+        return self._pointwise(v, ad.relu)
+
+    def max_pool(self, v: _Live, it: PoolL) -> _Live:
+        return self._pointwise(v, lambda t: ad.max_pool(t, it.k, it.stride,
+                                                        it.padding))
+
+    def gap(self, v: _Live) -> _Live:
+        return self._pointwise(v, ad.global_avg_pool)
+
+    def dense(self, v: _Live, w: Parameter) -> _Live:
+        x = v.data.reshape(v.data.shape[0], -1)
+        if v.live is None:
+            y = ad.dense(Tensor(x), w.value).data
+        else:
+            per = int(np.prod(v.data.shape[2:], dtype=np.int64))  # 1 after gap
+            rows = (v.live[:, None] * per + np.arange(per)).reshape(-1)
+            y = ad.dense(Tensor(x), Tensor(np.take(w.data, rows, axis=0))).data
+            if v.fold is not None:
+                dead = _dead(rows, w.shape[0])
+                y = y + ad.dense(Tensor(v.fold.reshape(1, -1)[:, dead]),
+                                 Tensor(np.take(w.data, dead, axis=0))).data
+        return _Live(y, w.shape[1])
+
+    def add(self, a: _Live, b: _Live) -> _Live:
+        if a.live is None and b.live is None:
+            return _Live(a.data + b.data, a.width)
+        if a.live is None or b.live is None:
+            index = np.arange(a.width)
+        else:
+            index = np.union1d(a.live, b.live)
+        if a.fold is None or b.fold is None:
+            fold = b.fold if a.fold is None else a.fold
+        else:
+            fold = a.fold + b.fold
+        return _narrowed(_widen(a, index) + _widen(b, index), index, a.width, fold)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ gradient (gradient of the loss w.r.t. a per-channel multiplier,
 evaluated on the unmasked pre-activation) so that disabled filters can
 still compete and re-enter on later mask refreshes.
 
-A masked conv runs in one of two forms whose output and gradients agree
-up to float summation order. ``masked_conv2d`` computes every filter and multiplies
-the output channelwise by the mask; it also returns the unmasked output,
-which score routing reads. ``kept_filter_conv2d`` convolves only the
-kept filters and places them among zero channels, so its cost falls
-with the keep ratio; callers use it whenever nothing reads the
-unmasked output.
+On the tape, a masked conv runs in one of two forms whose output and
+gradients agree up to float summation order. ``masked_conv2d`` computes
+every filter and multiplies the output channelwise by the mask; it also
+returns the unmasked output, which score routing reads.
+``kept_filter_conv2d`` convolves only the kept filters and places them
+among zero channels, so its cost falls with the keep ratio; callers use
+it whenever nothing reads the unmasked output. An eval pass that records
+no graph uses neither: the hierarchy then carries activations at their
+live channels and gathers kernel rows and columns itself (see
+hierarchy.py).
 """
 
 from __future__ import annotations
@@ -130,12 +133,18 @@ def build_mask(scores: ImportanceScores, config: PruneConfig) -> FilterMask:
         raise MaskError(f"cannot keep {n_keep} of {total} filters while "
                         f"honoring a floor of {config.min_filters} per layer")
 
-    ranked = sorted(((lid, idx) for lid, v in scores.layers.items()
-                     for idx in range(v.size)),
-                    key=lambda e: (-scores.layers[e[0]][e[1]], e[0], e[1]))
-    mask = {lid: np.zeros(v.size, dtype=bool) for lid, v in scores.layers.items()}
-    for lid, idx in ranked[:n_keep]:
-        mask[lid][idx] = True
+    if not scores.layers:
+        return FilterMask({})
+    # one stable sort per key, the last key first: score descending, then
+    # layer id, then filter index; -0.0 and +0.0 compare equal and tie
+    lids = list(scores.layers)
+    sizes = [scores.layers[lid].size for lid in lids]
+    layer_of = np.repeat(lids, sizes)
+    index_of = np.concatenate([np.arange(n) for n in sizes])
+    flat = np.concatenate([scores.layers[lid] for lid in lids])
+    keep = np.zeros(total, dtype=bool)
+    keep[np.lexsort((index_of, layer_of, -flat))[:n_keep]] = True
+    mask = dict(zip(lids, np.split(keep, np.cumsum(sizes)[:-1])))
 
     def floor_of(lid: int) -> int:
         return min(config.min_filters, mask[lid].size)

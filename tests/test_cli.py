@@ -241,6 +241,25 @@ class TestEval:
         assert rc == 1
 
 
+class TestArchOverride:
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    def test_arch_from_the_config_file_overrides_the_checkpoint(
+            self, trained_run, tiny_arch, tmp_path, command, capsys):
+        """A checkpoint naming an arch that no longer resolves still loads
+        when the --config file (and no flag) names the arch."""
+        tensors, meta = load_checkpoint(os.path.join(trained_run, "latest.ckpt"))
+        ckpt = str(tmp_path / "moved.ckpt")
+        save_checkpoint(ckpt, tensors, dict(meta, arch="no_such_arch"))
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({"arch": tiny_arch}))
+        argv = [command, "--checkpoint", ckpt, *SYNTH_FLAGS]
+        if command == "finetune":
+            argv += ["--finetune-epochs", "1", "--out", str(tmp_path / "ft")]
+        assert main(argv) == 1
+        assert "no_such_arch" in capsys.readouterr().err
+        assert main(argv + ["--config", str(cfg_path)]) == 0
+
+
 class TestFinetune:
     def test_resumes_and_reports(self, trained_run, tiny_arch,
                                  tmp_path, capsys):

@@ -2,15 +2,19 @@
 per-slot forward behavior, and the cascaded score-gradient routing.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 import cascadeprune.autodiff as ad
-from cascadeprune.arch import parse_arch
+from cascadeprune.arch import count_stats, load_arch, parse_arch
+from cascadeprune.cli import resolve_arch
 from cascadeprune.distill import slot_loss, DistillConfig
 from cascadeprune.hierarchy import (HierarchyError, ModelHierarchy,
                                     derive_ta_keep_ratios)
-from cascadeprune.masking import PruneConfig, build_mask, surrogate_gamma_grad
+from cascadeprune.masking import (FilterMask, PruneConfig, build_mask,
+                                  surrogate_gamma_grad)
 import oracles
 
 
@@ -251,6 +255,193 @@ class TestKeptFilterForward:
         assert not all(v.all() for v in h.student.state.mask.layers.values())
         np.testing.assert_allclose(logits[False], logits[True], rtol=1e-5,
                                    atol=1e-5 * np.abs(logits[True]).max())
+
+
+DEPTHWISE_TOY = """
+input c=2 h=8 w=8
+conv k=3 in=2 out=8 maskable=false
+bn
+relu
+conv k=1 in=8 out=12
+bn
+relu
+dwconv k=3 stride=2
+bn
+relu
+conv k=1 in=12 out=10
+bn
+relu
+dwconv k=3 pad=valid
+bn
+relu
+classifier in=40 out=3
+"""
+
+TOY_RESIDUAL_ARCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "toy_residual.arch")
+
+
+def trained_hierarchy(arch, dtype="f32", min_filters=1, steps=3):
+    """A hierarchy after a few plain SGD steps on every slot, so that BN
+    offsets and running statistics are away from their initial values."""
+    h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=4, min_filters=min_filters,
+                       dtype=dtype)
+    rng = np.random.default_rng(11)
+    for _ in range(steps):
+        x = rng.standard_normal((8, arch.in_c, arch.in_h, arch.in_w))
+        labels = np.eye(arch.classes)[rng.integers(0, arch.classes, 8)]
+        run_losses_and_backward(h, x, labels, want_context=False)
+        for p in h.all_parameters():
+            p.assign(p.data - 0.2 * p.grad)
+            p.zero_grad()
+    return h
+
+
+def half_pruned_student(h, seed=0, disjoint=True):
+    """Slot 0 keeps a random half of every maskable layer. On a residual
+    arch with disjoint set, the first projection block's body keeps the
+    lower half of its output and its shortcut the upper half, so their
+    join is live on every channel while each side is half pruned."""
+    rng = np.random.default_rng(seed)
+    layers = {lid: rng.permutation(n) < n // 2
+              for lid, n in h.arch.maskable_sizes.items()}
+    block = next((it for it in h.arch.items
+                  if getattr(it, "proj", None) is not None), None)
+    if block is None or not disjoint:
+        h.student.state.mask = FilterMask(layers)
+        return
+    last = [b for b in block.body if hasattr(b, "layer_id")][-1]
+    half = last.cout // 2
+    layers[last.layer_id] = np.arange(last.cout) < half
+    layers[block.proj.layer_id] = np.arange(last.cout) >= half
+    h.student.state.mask = FilterMask(layers)
+
+
+def eval_both_ways(h, slot, x, hint_ids=()):
+    """The same eval forward on the tape (grad enabled, full width) and
+    without a graph (kept width)."""
+    ref = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+    with ad.no_grad():
+        got = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+    assert ref.logits.requires_grad and not got.logits.requires_grad
+    return ref, got
+
+
+def assert_close(got, want, dtype):
+    tol = 1e-5 if dtype == "f32" else 1e-12
+    assert got.shape == want.shape and got.dtype == want.dtype
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= tol, f"relative difference {err:.3g}"
+
+
+NETS = {"plain": lambda: parse_arch(TOY, name="toy"),
+        "residual": lambda: load_arch(TOY_RESIDUAL_ARCH),
+        "depthwise": lambda: parse_arch(DEPTHWISE_TOY, name="dw")}
+
+
+class TestKeptWidthEval:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_logits_match_the_full_width_pass(self, net, dtype):
+        """Every slot's kept-width eval logits equal the full-width ones
+        to rounding, what pruned channels leak through BN included."""
+        arch = NETS[net]()
+        h = trained_hierarchy(arch, dtype)
+        assert any(np.any(bn.beta.data != 0) for bn in h.student.state.bns)
+        x = np.random.default_rng(3).standard_normal(
+            (5, arch.in_c, arch.in_h, arch.in_w))
+        for slot in range(len(h.slots)):
+            ref, got = eval_both_ways(h, slot, x)
+            assert_close(got.logits.data, ref.logits.data, dtype)
+        # the join's two sides prune disjoint, then overlapping channels
+        for disjoint in (True, False):
+            half_pruned_student(h, disjoint=disjoint)
+            ref, got = eval_both_ways(h, 0, x)
+            assert_close(got.logits.data, ref.logits.data, dtype)
+
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_layer_with_no_kept_filter(self, net):
+        arch = NETS[net]()
+        h = trained_hierarchy(arch, "f64", min_filters=0)
+        half_pruned_student(h)
+        layers = dict(h.student.state.mask.layers)
+        first = min(layers)
+        layers[first] = np.zeros_like(layers[first])
+        h.student.state.mask = FilterMask(layers)
+        x = np.random.default_rng(4).standard_normal(
+            (3, arch.in_c, arch.in_h, arch.in_w))
+        ref, got = eval_both_ways(h, 0, x)
+        assert_close(got.logits.data, ref.logits.data, "f64")
+
+    @pytest.mark.parametrize("net,hint_ids", [("plain", (0, 1)),
+                                              ("residual", (0, 4, 5))])
+    def test_hint_maps_come_back_at_full_width(self, net, hint_ids):
+        arch = NETS[net]()
+        h = trained_hierarchy(arch)
+        half_pruned_student(h)
+        x = np.random.default_rng(5).standard_normal(
+            (4, arch.in_c, arch.in_h, arch.in_w))
+        ref, got = eval_both_ways(h, 0, x, hint_ids)
+        assert sorted(got.hint_maps) == sorted(ref.hint_maps)
+        for k, m in ref.hint_maps.items():
+            assert_close(got.hint_maps[k].data, m.data, "f32")
+
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_unpruned_models_bitwise_unchanged(self, net):
+        """The all-ones top slot, and the frozen teacher made from it,
+        run exactly the full-width ops."""
+        arch = NETS[net]()
+        h = trained_hierarchy(arch)
+        x = np.random.default_rng(6).standard_normal(
+            (4, arch.in_c, arch.in_h, arch.in_w))
+        ref, got = eval_both_ways(h, len(h.slots) - 1, x)
+        assert np.array_equal(got.logits.data, ref.logits.data)
+        h.freeze_teacher()
+        assert np.array_equal(h.forward_frozen(x).logits.data, ref.logits.data)
+
+    def test_no_state_is_modified(self):
+        arch = NETS["residual"]()
+        h = trained_hierarchy(arch)
+        half_pruned_student(h)
+        before = {k: v.copy() for k, v in h.named_tensors().items()}
+        x = np.random.default_rng(7).standard_normal(
+            (4, arch.in_c, arch.in_h, arch.in_w))
+        with ad.no_grad():
+            for slot in range(len(h.slots)):
+                h.forward_slot(slot, x, mode="eval", hint_ids=(0,))
+        after = h.named_tensors()
+        for k, v in before.items():
+            assert np.array_equal(after[k], v), k
+
+    @pytest.mark.parametrize("arch_id", ["vgg16_cifar10", "mobilenetv1_cifar100"])
+    def test_count_stats_prices_what_runs(self, arch_id, monkeypatch):
+        """At batch 2, the student's kept-width eval does 2 x count_stats'
+        conv and depthwise FLOPs of multiply-accumulates in its batch
+        convs; the one-image convs over pruned channels are not counted."""
+        arch = resolve_arch(arch_id)
+        h = ModelHierarchy(arch, derive_ta_keep_ratios(0.5, [1.5, 2.5]))
+        macs = []
+
+        def counting(raw, per_out):
+            def run(x, w, *args):
+                y = raw(x, w, *args)
+                if x.shape[0] == 2:
+                    macs.append(y.size * per_out(w))
+                return y
+            return run
+
+        monkeypatch.setattr(ad, "conv2d_raw", counting(
+            ad.conv2d_raw, lambda w: w.shape[0] * w.shape[1] * w.shape[2]))
+        monkeypatch.setattr(ad, "depthwise_conv2d_raw", counting(
+            ad.depthwise_conv2d_raw, lambda w: w.shape[0] * w.shape[1]))
+        x = np.random.default_rng(8).standard_normal(
+            (2, arch.in_c, arch.in_h, arch.in_w)).astype(np.float32)
+        with ad.no_grad():
+            h.forward_slot(0, x, mode="eval")
+        rows = count_stats(arch, h.student.state.mask).layers
+        priced = sum(r.flops for r in rows if len(r.out_shape) == 3)
+        assert sum(macs) == 2 * priced
+        assert priced < count_stats(arch).total_flops / 2
 
 
 def run_losses_and_backward(h, x, labels, slot_scales=None, want_context=True):

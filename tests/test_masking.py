@@ -63,6 +63,28 @@ class TestBuildMask:
         np.testing.assert_array_equal(mask.layers[0], [True, True])
         np.testing.assert_array_equal(mask.layers[1], [False, False])
 
+    def test_ranking_matches_a_sort_on_the_documented_key(self):
+        """Before floor repair, the kept set is the first keep_count
+        filters of a sort by (-score, layer id, index): checked on
+        scores drawn from a few levels (many ties, -0.0 beside +0.0),
+        layers listed out of id order, with no floor to repair."""
+        rng = np.random.default_rng(5)
+        levels = np.array([-1.0, -0.0, 0.0, 0.5, 0.5 + 1e-12, 2.0])
+        for trial in range(40):
+            ids = rng.permutation(6)[:int(rng.integers(1, 6))]
+            raw = {int(lid): rng.choice(levels, int(rng.integers(1, 9)))
+                   for lid in ids}
+            total = sum(v.size for v in raw.values())
+            n_keep = int(rng.integers(1, total + 1))
+            ranked = sorted(((lid, i) for lid, v in raw.items()
+                             for i in range(v.size)),
+                            key=lambda e: (-raw[e[0]][e[1]], e[0], e[1]))
+            want = set(ranked[:n_keep])
+            got = build_mask(ImportanceScores(raw),
+                             PruneConfig(keep_ratio=min((n_keep + 0.25) / total, 1.0),
+                                         min_filters=0))
+            assert as_sets(got) == want, f"trial {trial}"
+
     def test_infeasible_floor_rejected(self):
         scores = ImportanceScores({0: [1.0, 0.5], 1: [0.9, 0.4]})
         with pytest.raises(MaskError):
