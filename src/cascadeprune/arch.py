@@ -21,6 +21,20 @@ projection shortcut (1x1 conv at the block's overall stride, followed
 by bn) is implied when proj=true. Maskable convs are numbered in
 document order, body convs before a block's projection.
 
+The parser compiles the file into ArchSpec.plan, a flat list of steps,
+one per op: conv, dwconv, bn, relu, maxpool, gap, dense (a dense or
+the classifier line), fork and add. Each step transforms one register:
+x, the main path, or s, a residual block's shortcut. A block compiles
+to fork (copy x into s), its body on x, the projection's conv and bn on
+s, add (join s back into x) and the closing relu. A step also carries
+its resolved BN or dense index, its output size, the input values per
+channel of a dense step, and the hint ids whose tap is its output: a
+top-level conv's tap is the end of its trailing bn/relu run, and a
+block's convs tap the block's closing relu. The hierarchy, the forward
+pass and the cost counter all run from the plan; inside the package
+only the parser reads ArchSpec.items, the nested layer list kept for
+callers that want the document's structure.
+
 Cost accounting is pure integer arithmetic. One multiply-accumulate
 counts as one FLOP; only conv and dense layers carry cost, batch norm
 and pooling and residual additions are free, and nothing has a bias.
@@ -102,6 +116,18 @@ class BlockL:
 
 
 @dataclass
+class Step:
+    """One op of the compiled plan."""
+    op: str                      # conv dwconv bn relu maxpool gap dense fork add
+    layer: object = None         # the parsed layer; a block's BlockL for fork and add
+    index: Optional[int] = None  # the slot's BN index (bn) or dense index (dense)
+    out: tuple = ()              # output size: (c, h, w), or (d,) once flat
+    per: int = 1                 # dense: input values per channel (h*w before gap)
+    reg: str = "x"               # register transformed: x main path, s shortcut
+    taps: tuple = ()             # hint ids whose tap is this step's output
+
+
+@dataclass
 class ArchSpec:
     name: str
     in_c: int
@@ -110,6 +136,7 @@ class ArchSpec:
     items: list
     classes: int
     maskable_sizes: dict[int, int] = field(default_factory=dict)
+    plan: list[Step] = field(default_factory=list)
 
     def full_mask(self) -> FilterMask:
         import numpy as np
@@ -245,6 +272,8 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
     in_c, in_h, in_w = c, h, w
 
     items: list = []
+    plan: list[Step] = []
+    sizes: dict[int, int] = {}
     next_layer_id = 0
     conv_count = 0
     dw_count = 0
@@ -252,6 +281,14 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
     dense_count = 0
     flat: Optional[int] = None  # set once spatial structure collapses
     closed = False
+    tapped: Optional[Step] = None  # holds a top-level conv's tap while bn/relu follow
+
+    def emit(op: str, layer=None, reg: str = "x", per: int = 1,
+             taps: tuple = ()) -> Step:
+        index = sum(st.op == op for st in plan) if op in ("bn", "dense") else None
+        out = (c, h, w) if flat is None else (flat,)
+        plan.append(Step(op, layer, index, out, per, reg, taps))
+        return plan[-1]
 
     def parse_conv(kv: dict, where: str, cur_c: int) -> ConvL:
         nonlocal next_layer_id, conv_count
@@ -270,6 +307,7 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
         conv_count += 1
         if maskable:
             layer.layer_id = next_layer_id
+            sizes[next_layer_id] = cout
             next_layer_id += 1
         return layer
 
@@ -282,6 +320,7 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
         if indented:
             raise ArchError(f"{where}: indented line outside a block")
         kv = _kv(toks, where) if kind != "relu" else {}
+        run, tapped = tapped, None
 
         if kind == "conv":
             if flat is not None:
@@ -293,6 +332,8 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
                                 f"fit {h}x{w} input")
             c, h, w = layer.cout, ho, wo
             items.append(layer)
+            tapped = emit("conv", layer,
+                          taps=(layer.layer_id,) if layer.maskable else ())
 
         elif kind == "dwconv":
             if flat is not None:
@@ -308,21 +349,26 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
                 raise ArchError(f"{where}: {k}x{k} window does not fit {h}x{w} input")
             h, w = _out_hw(h, w, k, stride, pad)
             items.append(DWConvL(k, c, stride, pad, label=f"dwconv{dw_count}"))
+            emit("dwconv", items[-1])
             dw_count += 1
 
-        elif kind == "bn":
-            if flat is not None:
-                raise ArchError(f"{where}: bn requires spatial features")
-            cc = _take_int(kv, "c", where, default=c)
-            _no_extras(kv, where)
-            if cc != c:
-                raise ArchError(f"{where}: bn expects c={c}, got c={cc}")
-            items.append(BNL(c))
-
-        elif kind == "relu":
-            if toks:
-                raise ArchError(f"{where}: relu takes no arguments")
-            items.append(ReLUL())
+        elif kind in ("bn", "relu"):
+            if kind == "bn":
+                if flat is not None:
+                    raise ArchError(f"{where}: bn requires spatial features")
+                cc = _take_int(kv, "c", where, default=c)
+                _no_extras(kv, where)
+                if cc != c:
+                    raise ArchError(f"{where}: bn expects c={c}, got c={cc}")
+                items.append(BNL(c))
+            else:
+                if toks:
+                    raise ArchError(f"{where}: relu takes no arguments")
+                items.append(ReLUL())
+            step = emit(kind, items[-1])
+            if run is not None:  # the tap moves to the end of the run
+                step.taps, run.taps = run.taps, ()
+                tapped = step
 
         elif kind == "pool":
             if flat is not None:
@@ -338,10 +384,12 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
                                     f"{h}x{w} input")
                 h, w = _out_hw(h, w, k, stride, pad)
                 items.append(PoolL("max", k, stride, pad))
+                emit("maxpool", items[-1])
             elif pk == "gap":
                 _no_extras(kv, where)
                 items.append(PoolL("gap"))
                 flat = c
+                emit("gap", items[-1])
             else:
                 raise ArchError(f"{where}: pool kind must be max or gap")
 
@@ -358,16 +406,20 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
             else:
                 items.append(ClassifierL(want, dout))
                 closed = True
+            per = 1 if flat is not None else h * w
             flat = dout
+            emit("dense", items[-1], per=per)
 
         elif kind == "block":
             if flat is not None:
                 raise ArchError(f"{where}: block after the features were flattened")
             has_proj = _take_bool(kv, "proj", where, False)
             _no_extras(kv, where)
-            body: list = []
+            block = BlockL([], None, label=f"block{block_count}")
+            body = block.body
             entry_c, entry_h, entry_w = c, h, w
             overall_stride = 1
+            emit("fork", block, reg="s")
             idx += 1
             while idx < len(entries) and entries[idx][1]:
                 blineno, _, bkind, btoks = entries[idx]
@@ -391,16 +443,21 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
                     body.append(ReLUL())
                 else:
                     raise ArchError(f"{bwhere}: {bkind!r} not allowed inside a block")
+                emit(bkind, body[-1])
                 idx += 1
             idx -= 1  # outer loop advances once more
-            if not any(isinstance(b, ConvL) for b in body):
+            convs = [b for b in body if isinstance(b, ConvL)]
+            if not convs:
                 raise ArchError(f"{where}: block body needs at least one conv")
-            proj = None
+            for j, b in enumerate(convs):
+                b.label = f"block{block_count}.conv{j}"
             if has_proj:
-                proj = ConvL(1, entry_c, c, overall_stride, "same", True,
-                             layer_id=next_layer_id,
-                             label=f"block{block_count}.proj")
+                block.proj = ConvL(1, entry_c, c, overall_stride, "same", True,
+                                   layer_id=next_layer_id,
+                                   label=f"block{block_count}.proj")
+                sizes[next_layer_id] = c
                 next_layer_id += 1
+                convs.append(block.proj)
             elif entry_c != c or overall_stride != 1:
                 raise ArchError(f"{where}: identity shortcut needs matching "
                                 f"width and stride 1 (in={entry_c} out={c} "
@@ -408,9 +465,13 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
             if (h, w) != _out_hw(entry_h, entry_w, 1, overall_stride, "same"):
                 raise ArchError(f"{where}: body spatial reduction is not a "
                                 f"clean stride; shortcut cannot align")
-            for j, b in enumerate(x for x in body if isinstance(x, ConvL)):
-                b.label = f"block{block_count}.conv{j}"
-            items.append(BlockL(body, proj, label=f"block{block_count}"))
+            if has_proj:
+                emit("conv", block.proj, reg="s")
+                emit("bn", BNL(c), reg="s")
+            emit("add", block)
+            emit("relu", ReLUL(),
+                 taps=tuple(b.layer_id for b in convs if b.maskable))
+            items.append(block)
             block_count += 1
 
         else:
@@ -420,25 +481,8 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
     if not closed:
         raise ArchError(f"{name}: architecture must end with a classifier line")
 
-    spec = ArchSpec(name=name, in_c=in_c, in_h=in_h, in_w=in_w,
-                    items=items, classes=flat)
-    spec.maskable_sizes = _collect_maskable(items)
-    return spec
-
-
-def _collect_maskable(items) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-
-    def visit(seq):
-        for it in seq:
-            if isinstance(it, ConvL) and it.maskable:
-                sizes[it.layer_id] = it.cout
-            elif isinstance(it, BlockL):
-                visit(it.body)
-                if it.proj is not None:
-                    sizes[it.proj.layer_id] = it.proj.cout
-    visit(items)
-    return sizes
+    return ArchSpec(name=name, in_c=in_c, in_h=in_h, in_w=in_w, items=items,
+                    classes=flat, maskable_sizes=sizes, plan=plan)
 
 
 def load_arch(path) -> ArchSpec:
@@ -470,50 +514,31 @@ def count_stats(arch: ArchSpec, mask: Optional[FilterMask] = None) -> StatsRepor
         return layer.cout
 
     rows: list[LayerStats] = []
-
-    def conv_row(layer: ConvL, cin_eff: int, h: int, w: int, group: str):
-        ho, wo = _out_hw(h, w, layer.k, layer.stride, layer.padding)
-        cout_eff = kept(layer)
-        p = layer.k * layer.k * cin_eff * cout_eff
-        f = p * ho * wo
-        rows.append(LayerStats(layer.label, group, layer.layer_id,
-                               p, f, (cout_eff, ho, wo)))
-        return cout_eff, ho, wo
-
-    c, h, w = arch.in_c, arch.in_h, arch.in_w
-    flat = None
-    for it in arch.items:
-        if isinstance(it, ConvL):
-            c, h, w = conv_row(it, c, h, w, it.label)
-        elif isinstance(it, DWConvL):
-            ho, wo = _out_hw(h, w, it.k, it.stride, it.padding)
+    width = {"x": arch.in_c}  # live channels per register
+    group = None  # the enclosing block's label
+    for st in arch.plan:
+        it = st.layer
+        if st.op == "conv":
+            cout = kept(it)
+            _, ho, wo = st.out
+            p = it.k * it.k * width[st.reg] * cout
+            rows.append(LayerStats(it.label, group or it.label, it.layer_id,
+                                   p, p * ho * wo, (cout, ho, wo)))
+            width[st.reg] = cout
+        elif st.op == "dwconv":
+            c, ho, wo = width["x"], st.out[1], st.out[2]
             p = it.k * it.k * c
             rows.append(LayerStats(it.label, it.label, None, p, p * ho * wo,
                                    (c, ho, wo)))
-            h, w = ho, wo
-        elif isinstance(it, PoolL):
-            if it.kind == "max":
-                h, w = _out_hw(h, w, it.k, it.stride, it.padding)
-            else:
-                flat = c
-        elif isinstance(it, (DenseL, ClassifierL)):
-            din_eff = flat if flat is not None else c * h * w
-            p = din_eff * it.dout
-            rows.append(LayerStats(it.label, it.label, None, p, p,
-                                   (it.dout,)))
-            flat = it.dout
-        elif isinstance(it, BlockL):
-            entry_c, entry_h, entry_w = c, h, w
-            for b in it.body:
-                if isinstance(b, ConvL):
-                    c, h, w = conv_row(b, c, h, w, it.label)
-            branch_c = c
-            short_c = entry_c
-            if it.proj is not None:
-                short_c, _, _ = conv_row(it.proj, entry_c, entry_h, entry_w,
-                                         it.label)
-            c = max(branch_c, short_c)
-        # bn / relu carry no cost and no shape change
+        elif st.op == "dense":
+            p = width["x"] * st.per * it.dout
+            rows.append(LayerStats(it.label, it.label, None, p, p, (it.dout,)))
+            width["x"] = it.dout
+        elif st.op == "fork":
+            width["s"], group = width["x"], it.label
+        elif st.op == "add":
+            width["x"], group = max(width["x"], width["s"]), None
+        # bn, relu and pooling carry no cost and keep the width
 
     total_f = sum(r.flops for r in rows)
     total_p = sum(r.params for r in rows)

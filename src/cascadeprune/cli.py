@@ -273,8 +273,9 @@ def _write_stats_csv(report, path: str) -> None:
         w.writerow(["total", "", report.total_params, report.total_flops])
 
 
-def _mask_from_checkpoint(path: str, arch: ArchSpec, slot: int) -> FilterMask:
-    tensors, _ = load_checkpoint(path)
+def _mask_from_checkpoint(tensors: dict, path: str, arch: ArchSpec,
+                          slot: int) -> FilterMask:
+    """Slot's mask from the tensor table of the checkpoint at path."""
     prefix = f"slot{slot}.mask."
     layers = {int(k[len(prefix):]): tensors[k].astype(bool)
               for k in tensors if k.startswith(prefix)}
@@ -368,7 +369,8 @@ def cmd_analyze(args) -> int:
     arch = resolve_arch(args.arch)
     mask = None
     if args.checkpoint:
-        mask = _mask_from_checkpoint(args.checkpoint, arch, args.slot)
+        tensors, _ = load_checkpoint(args.checkpoint)
+        mask = _mask_from_checkpoint(tensors, args.checkpoint, arch, args.slot)
     report = count_stats(arch, mask)
     _print_stats(report)
     if mask is not None:
@@ -426,7 +428,7 @@ def cmd_export(args) -> int:
         w.writerow(["slot", "layer_id", "filters", "kept", "pruned",
                     "kept_pct", "pruned_pct"])
         for slot in range(slot_count):
-            mask = _mask_from_checkpoint(ckpt_path, arch, slot)
+            mask = _mask_from_checkpoint(tensors, ckpt_path, arch, slot)
             for lid in sorted(mask.layers):
                 total = mask.layers[lid].size
                 kept = int(mask.layers[lid].sum())

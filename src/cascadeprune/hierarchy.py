@@ -12,7 +12,8 @@ each masked conv output, its input activations, and the shared kernel),
 never from slot i's own pass. That is what lets a filter that slot i has
 pruned keep receiving meaningful updates, since slot i+1 still runs it.
 
-One walk over the arch runs a slot in one of three forms:
+One loop over the arch's compiled plan runs a slot in one of three
+forms:
 
 - On the tape, saving contexts: every activation at full width, each
   masked conv computing all filters and masking them (masked_conv2d),
@@ -39,7 +40,7 @@ from typing import Collection, Optional, Union
 import numpy as np
 
 from . import autodiff as ad
-from .arch import ArchSpec, BlockL, BNL, ClassifierL, ConvL, DenseL, DWConvL, PoolL, ReLUL
+from .arch import ArchSpec, ConvL, DWConvL, PoolL
 from .autodiff import BatchNormState, Parameter, Tensor
 from .masking import (FilterMask, ImportanceScores, PruneConfig, build_mask,
                       kept_filter_conv2d, masked_conv2d, surrogate_gamma_grad)
@@ -73,6 +74,29 @@ class SlotState:
     dense: list[Parameter]
     bns: list[BatchNormState]
     mask: FilterMask
+
+    def named_tensors(self, pre: str) -> dict[str, np.ndarray]:
+        """The stem, dense and batch-norm tensors under checkpoint names
+        starting with pre (the mask is saved by the hierarchy)."""
+        out = {f"{pre}.stem.w": self.stem.data}
+        for j, p in enumerate(self.dense):
+            out[f"{pre}.dense{j}.w"] = p.data
+        for j, bn in enumerate(self.bns):
+            out[f"{pre}.bn{j}.gamma"] = bn.gamma.data
+            out[f"{pre}.bn{j}.beta"] = bn.beta.data
+            out[f"{pre}.bn{j}.rmean"] = bn.running_mean
+            out[f"{pre}.bn{j}.rvar"] = bn.running_var
+        return out
+
+    def load_named_tensors(self, table: dict[str, np.ndarray], pre: str) -> None:
+        self.stem.assign(table[f"{pre}.stem.w"])
+        for j, p in enumerate(self.dense):
+            p.assign(table[f"{pre}.dense{j}.w"])
+        for j, bn in enumerate(self.bns):
+            bn.gamma.assign(table[f"{pre}.bn{j}.gamma"])
+            bn.beta.assign(table[f"{pre}.bn{j}.beta"])
+            bn.running_mean = table[f"{pre}.bn{j}.rmean"].copy()
+            bn.running_var = table[f"{pre}.bn{j}.rvar"].copy()
 
 
 @dataclass
@@ -118,8 +142,8 @@ class ModelHierarchy:
         if not all(0.0 < r <= 1.0 for r in ratios):
             raise HierarchyError(f"keep ratios must lie in (0, 1]: {ratios}")
 
-        first = next((it for it in arch.items if isinstance(it, (ConvL, DWConvL))), None)
-        if not isinstance(first, ConvL) or first.maskable:
+        convs = [st for st in arch.plan if st.op in ("conv", "dwconv")]
+        if not convs or convs[0].op != "conv" or convs[0].layer.maskable:
             raise HierarchyError("the architecture must start with a conv marked "
                                  "maskable=false; the stem is per-model and unmasked")
 
@@ -130,11 +154,11 @@ class ModelHierarchy:
         self._rng = np.random.default_rng(seed)
 
         # shared conv kernels, everything except the stem
+        self._stem_spec = convs[0].layer
         self.shared: dict[str, Parameter] = {}
-        for it in _iter_convs(arch.items):
-            if it is first:
-                continue
-            if isinstance(it, ConvL):
+        for st in convs[1:]:
+            it = st.layer
+            if st.op == "conv":
                 self.shared[it.label] = self._he_param(
                     f"shared.{it.label}.w", (it.k, it.k, it.cin, it.cout),
                     fan_in=it.k * it.k * it.cin)
@@ -143,15 +167,10 @@ class ModelHierarchy:
                     f"shared.{it.label}.w", (it.k, it.k, it.c),
                     fan_in=it.k * it.k)
 
-        self._stem_spec = first
-        self._bn_channel_plan = _bn_plan(arch)
-        self._dense_plan = [(it.din, it.dout) for it in arch.items
-                            if isinstance(it, (DenseL, ClassifierL))]
-
         self.slots: list[ModelSlot] = []
         base_scores = ImportanceScores.from_weights(
-            {lid: self.shared[_label_of(arch, lid)].data
-             for lid in arch.maskable_sizes})
+            {st.layer.layer_id: self.shared[st.layer.label].data
+             for st in convs if st.op == "conv" and st.layer.maskable})
         for i, r in enumerate(ratios):
             state = self._fresh_state(i)
             top = i == len(ratios) - 1
@@ -176,10 +195,13 @@ class ModelHierarchy:
         s = self._stem_spec
         stem = self._he_param(f"slot{slot_idx}.stem.w", (s.k, s.k, s.cin, s.cout),
                               fan_in=s.k * s.k * s.cin)
-        dense = [self._he_param(f"slot{slot_idx}.dense{j}.w", (din, dout), fan_in=din)
-                 for j, (din, dout) in enumerate(self._dense_plan)]
-        bns = [BatchNormState(f"slot{slot_idx}.bn{j}", c, dtype=self.dtype)
-               for j, c in enumerate(self._bn_channel_plan)]
+        plan = self.arch.plan
+        dense = [self._he_param(f"slot{slot_idx}.dense{st.index}.w",
+                                (st.layer.din, st.layer.dout), fan_in=st.layer.din)
+                 for st in plan if st.op == "dense"]
+        bns = [BatchNormState(f"slot{slot_idx}.bn{st.index}", st.layer.c,
+                              dtype=self.dtype)
+               for st in plan if st.op == "bn"]
         return SlotState(stem, dense, bns, self.arch.full_mask())
 
     @property
@@ -225,24 +247,23 @@ class ModelHierarchy:
         retained gradient) so the cascade can form score gradients after
         one backward pass. want_context is True (every slot), False (no
         slot) or the indices of the slots that save contexts; score
-        routing reads slots 1 and up, and slot 0 only with include_own. A
-        slot that saves none computes only its kept filters.
+        routing reads slots 1 and up. A slot that saves none computes
+        only its kept filters.
         """
         if isinstance(want_context, bool):
             want_context = range(len(self.slots)) if want_context else ()
         x = Tensor(images, dtype=self.dtype)
-        taps = _hint_tap_items(self.arch, hint_ids)
-        return [self._forward_one(x, self.shared, slot.state, mode, taps,
+        hints = self._hint_set(hint_ids)
+        return [self._forward_one(x, self.shared, slot.state, mode, hints,
                                   slot.index in want_context)
                 for slot in self.slots]
 
     def forward_slot(self, index: int, images: np.ndarray, mode: str = "eval",
                      hint_ids=(), want_context: bool = False) -> SlotForward:
         """Run a single slot; other slots' state is untouched."""
-        taps = _hint_tap_items(self.arch, hint_ids)
         return self._forward_one(Tensor(images, dtype=self.dtype), self.shared,
-                                 self.slots[index].state, mode, taps,
-                                 want_context)
+                                 self.slots[index].state, mode,
+                                 self._hint_set(hint_ids), want_context)
 
     def forward_frozen(self, images: np.ndarray, hint_ids=()) -> SlotForward:
         """Evaluation-mode forward of the frozen teacher, no graph."""
@@ -253,79 +274,74 @@ class ModelHierarchy:
         params = {label: Parameter(f"frozen.{label}.w", v, dtype=self.dtype,
                                    trainable=False)
                   for label, v in weights.items()}
-        taps = _hint_tap_items(self.arch, hint_ids)
+        hints = self._hint_set(hint_ids)
         with ad.no_grad():
             return self._forward_one(Tensor(images, dtype=self.dtype), params,
-                                     state, "eval", taps, want_context=False)
+                                     state, "eval", hints, want_context=False)
+
+    def _hint_set(self, hint_ids) -> set[int]:
+        """The requested hint ids; each must name a maskable conv."""
+        wanted = set(hint_ids)
+        unknown = wanted - self.arch.maskable_sizes.keys()
+        if unknown:
+            raise HierarchyError(f"hint layer id {sorted(unknown)[0]} does not "
+                                 "name a maskable conv")
+        return wanted
 
     def _forward_one(self, x: Tensor, weights: dict[str, Parameter],
-                     state: SlotState, mode: str, taps: dict[int, str],
+                     state: SlotState, mode: str, hint_ids: set[int],
                      want_context: bool) -> SlotForward:
-        """The one walk over the arch. An eval pass that records no graph
-        and saves no contexts runs at kept width (_KeptWidth); every other
-        pass records full-width tensors on the tape (_FullWidth)."""
+        """The one loop over the arch's plan. An eval pass that records no
+        graph and saves no contexts runs at kept width (_KeptWidth); every
+        other pass records full-width tensors on the tape (_FullWidth).
+        Ids whose taps share a step collapse into one map, named after
+        the smallest."""
         if mode == "eval" and not want_context and not ad.grad_enabled():
             ops = _KeptWidth()
         else:
             ops = _FullWidth(mode, want_context)
-        t = ops.start(x)
+        reg = {"x": ops.start(x)}
         hints: dict[str, Tensor] = {}
-        bn_idx = 0
-        dense_idx = 0
-
-        def conv(it: ConvL, t):
-            if it is self._stem_spec:
-                return ops.conv(t, state.stem, None, it)
-            mask = state.mask.layers[it.layer_id] if it.maskable else None
-            return ops.conv(t, weights[it.label], mask, it)
-
-        def bn(t):
-            nonlocal bn_idx
-            bn_idx += 1
-            return ops.bn(t, state.bns[bn_idx - 1])
-
-        for idx, it in enumerate(self.arch.items):
-            if isinstance(it, ConvL):
-                t = conv(it, t)
-            elif isinstance(it, DWConvL):
+        for st in self.arch.plan:
+            op, it = st.op, st.layer
+            t = reg["x"] if op == "fork" else reg[st.reg]
+            if op == "conv":
+                if it is self._stem_spec:
+                    t = ops.conv(t, state.stem, None, it)
+                else:
+                    mask = state.mask.layers[it.layer_id] if it.maskable else None
+                    t = ops.conv(t, weights[it.label], mask, it)
+            elif op == "dwconv":
                 t = ops.dwconv(t, weights[it.label], it)
-            elif isinstance(it, BNL):
-                t = bn(t)
-            elif isinstance(it, ReLUL):
+            elif op == "bn":
+                t = ops.bn(t, state.bns[st.index])
+            elif op == "relu":
                 t = ops.relu(t)
-            elif isinstance(it, PoolL):
-                t = ops.max_pool(t, it) if it.kind == "max" else ops.gap(t)
-            elif isinstance(it, (DenseL, ClassifierL)):
-                t = ops.dense(t, state.dense[dense_idx])
-                dense_idx += 1
-            elif isinstance(it, BlockL):
-                entry = t
-                for b in it.body:
-                    if isinstance(b, ConvL):
-                        t = conv(b, t)
-                    elif isinstance(b, BNL):
-                        t = bn(t)
-                    else:
-                        t = ops.relu(t)
-                short = bn(conv(it.proj, entry)) if it.proj is not None else entry
-                t = ops.relu(ops.add(t, short))
-            if idx in taps:
-                hints[taps[idx]] = ops.full(t)
+            elif op == "maxpool":
+                t = ops.max_pool(t, it)
+            elif op == "gap":
+                t = ops.gap(t)
+            elif op == "dense":
+                t = ops.dense(t, state.dense[st.index])
+            elif op == "add":
+                t = ops.add(t, reg.pop("s"))
+            reg[st.reg] = t
+            hit = [i for i in st.taps if i in hint_ids]
+            if hit:
+                hints[f"tap{min(hit)}"] = ops.full(t)
 
-        return SlotForward(logits=ops.full(t), hint_maps=hints,
+        return SlotForward(logits=ops.full(reg["x"]), hint_maps=hints,
                            contexts=ops.contexts)
 
     # -- cascade plumbing ----------------------------------------------------
 
-    def route_gamma_gradients(self, forwards: list[SlotForward],
-                              include_own: bool = False) -> dict[int, dict[int, np.ndarray]]:
+    def route_gamma_gradients(self, forwards: list[SlotForward]
+                              ) -> dict[int, dict[int, np.ndarray]]:
         """Assemble each slot's score gradients from the next slot up.
 
         Slot i's gradient for layer l is the straight-through reduction
         over slot i+1's saved context at layer l. The top slot has no
-        scores and receives nothing. With include_own, the slot's own
-        context contributes an additive second term (an ablation knob,
-        off by default).
+        scores and receives nothing.
         """
         if len(forwards) != len(self.slots):
             raise HierarchyError(f"expected {len(self.slots)} forward results, "
@@ -335,14 +351,6 @@ class ModelHierarchy:
             grads[i] = {}
             for lid, ctx in forwards[i + 1].contexts.items():
                 grads[i][lid] = self._context_grad(ctx)
-                if include_own:
-                    own = forwards[i].contexts.get(lid)
-                    if own is None:
-                        raise HierarchyError(
-                            f"slot {i} layer {lid}: no saved context for "
-                            "include_own; run the forward with contexts "
-                            "for this slot")
-                    grads[i][lid] = grads[i][lid] + self._context_grad(own)
         return grads
 
     @staticmethod
@@ -390,14 +398,7 @@ class ModelHierarchy:
         for slot in self.slots:
             pre = f"slot{slot.index}"
             st = slot.state
-            out[f"{pre}.stem.w"] = st.stem.data
-            for j, p in enumerate(st.dense):
-                out[f"{pre}.dense{j}.w"] = p.data
-            for j, bn in enumerate(st.bns):
-                out[f"{pre}.bn{j}.gamma"] = bn.gamma.data
-                out[f"{pre}.bn{j}.beta"] = bn.beta.data
-                out[f"{pre}.bn{j}.rmean"] = bn.running_mean
-                out[f"{pre}.bn{j}.rvar"] = bn.running_var
+            out.update(st.named_tensors(pre))
             for lid, m in sorted(st.mask.layers.items()):
                 out[f"{pre}.mask.{lid}"] = m.astype(np.uint8)
             if slot.scores is not None:
@@ -407,14 +408,7 @@ class ModelHierarchy:
             weights, state = self.frozen
             for label, v in weights.items():
                 out[f"frozen.{label}.w"] = v
-            out["frozen.stem.w"] = state.stem.data
-            for j, p in enumerate(state.dense):
-                out[f"frozen.dense{j}.w"] = p.data
-            for j, bn in enumerate(state.bns):
-                out[f"frozen.bn{j}.gamma"] = bn.gamma.data
-                out[f"frozen.bn{j}.beta"] = bn.beta.data
-                out[f"frozen.bn{j}.rmean"] = bn.running_mean
-                out[f"frozen.bn{j}.rvar"] = bn.running_var
+            out.update(state.named_tensors("frozen"))
         return out
 
     def load_named_tensors(self, table: dict[str, np.ndarray]) -> None:
@@ -439,14 +433,7 @@ class ModelHierarchy:
         for slot in self.slots:
             pre = f"slot{slot.index}"
             st = slot.state
-            st.stem.assign(table[f"{pre}.stem.w"])
-            for j, p in enumerate(st.dense):
-                p.assign(table[f"{pre}.dense{j}.w"])
-            for j, bn in enumerate(st.bns):
-                bn.gamma.assign(table[f"{pre}.bn{j}.gamma"])
-                bn.beta.assign(table[f"{pre}.bn{j}.beta"])
-                bn.running_mean = table[f"{pre}.bn{j}.rmean"].copy()
-                bn.running_var = table[f"{pre}.bn{j}.rvar"].copy()
+            st.load_named_tensors(table, pre)
             st.mask = FilterMask({lid: table[f"{pre}.mask.{lid}"].astype(bool)
                                   for lid in self.arch.maskable_sizes})
             if slot.scores is not None:
@@ -457,14 +444,7 @@ class ModelHierarchy:
             weights, state = self.frozen
             for label in weights:
                 weights[label] = table[f"frozen.{label}.w"].copy()
-            state.stem.assign(table["frozen.stem.w"])
-            for j, p in enumerate(state.dense):
-                p.assign(table[f"frozen.dense{j}.w"])
-            for j, bn in enumerate(state.bns):
-                bn.gamma.assign(table[f"frozen.bn{j}.gamma"])
-                bn.beta.assign(table[f"frozen.bn{j}.beta"])
-                bn.running_mean = table[f"frozen.bn{j}.rmean"].copy()
-                bn.running_var = table[f"frozen.bn{j}.rvar"].copy()
+            state.load_named_tensors(table, "frozen")
 
 
 # ---------------------------------------------------------------------------
@@ -667,78 +647,3 @@ class _KeptWidth:
         else:
             fold = a.fold + b.fold
         return _narrowed(_widen(a, index) + _widen(b, index), index, a.width, fold)
-
-
-# ---------------------------------------------------------------------------
-# arch walking helpers
-# ---------------------------------------------------------------------------
-
-def _iter_convs(items):
-    for it in items:
-        if isinstance(it, (ConvL, DWConvL)):
-            yield it
-        elif isinstance(it, BlockL):
-            for b in it.body:
-                if isinstance(b, ConvL):
-                    yield b
-            if it.proj is not None:
-                yield it.proj
-
-
-def _label_of(arch: ArchSpec, layer_id: int) -> str:
-    for it in _iter_convs(arch.items):
-        if isinstance(it, ConvL) and it.layer_id == layer_id:
-            return it.label
-    raise HierarchyError(f"no maskable conv with id {layer_id}")
-
-
-def _bn_plan(arch: ArchSpec) -> list[int]:
-    """Channel widths of every BN in forward order; a projection
-    shortcut's BN comes after its block's body BNs."""
-    chans: list[int] = []
-    for it in arch.items:
-        if isinstance(it, BNL):
-            chans.append(it.c)
-        elif isinstance(it, BlockL):
-            for b in it.body:
-                if isinstance(b, BNL):
-                    chans.append(b.c)
-            if it.proj is not None:
-                chans.append(it.proj.cout)
-    return chans
-
-
-def _hint_tap_items(arch: ArchSpec, hint_ids) -> dict[int, str]:
-    """Map top-level item indexes to hint labels.
-
-    A hint id names a maskable conv. For a top-level conv the tap point
-    is the activation after its trailing bn/relu run; for a conv inside
-    a residual block the tap is the block's output. Ids mapping to the
-    same tap collapse into one map.
-    """
-    wanted = set(hint_ids)
-    if not wanted:
-        return {}
-    taps: dict[int, str] = {}
-    seen = set()
-    for idx, it in enumerate(arch.items):
-        if isinstance(it, ConvL) and it.maskable and it.layer_id in wanted:
-            j = idx
-            while j + 1 < len(arch.items) and isinstance(arch.items[j + 1], (BNL, ReLUL)):
-                j += 1
-            taps[j] = f"tap{it.layer_id}"
-            seen.add(it.layer_id)
-        elif isinstance(it, BlockL):
-            ids = {b.layer_id for b in it.body
-                   if isinstance(b, ConvL) and b.maskable}
-            if it.proj is not None:
-                ids.add(it.proj.layer_id)
-            hit = sorted(ids & wanted)
-            if hit:
-                taps[idx] = f"tap{hit[0]}"
-                seen.update(hit)
-    unknown = wanted - seen
-    if unknown:
-        raise HierarchyError(f"hint layer id {sorted(unknown)[0]} does not name "
-                             "a maskable conv")
-    return taps

@@ -237,6 +237,105 @@ class TestMaskedCounts:
             count_stats(spec, FilterMask({0: [1] * 6}))
 
 
+RESIDUAL = """
+input c=3 h=8 w=8
+conv k=3 in=3 out=4 maskable=false
+bn
+relu
+conv k=3 in=4 out=6
+bn
+relu
+block proj=true
+  conv k=3 in=6 out=8 stride=2
+  bn
+  relu
+  conv k=3 in=8 out=8
+  bn
+block
+  conv k=3 in=8 out=8
+  bn
+bn
+dwconv k=3
+bn
+relu
+dense in=128 out=5
+classifier in=5 out=3
+"""
+
+
+class TestPlan:
+    """The compiled plan of a residual arch with a projection block, an
+    identity block, a depthwise conv and a dense head fed by an
+    unflattened map."""
+
+    def test_ops_and_registers(self):
+        plan = parse_arch(RESIDUAL).plan
+        assert [st.op for st in plan] == [
+            "conv", "bn", "relu", "conv", "bn", "relu",
+            "fork", "conv", "bn", "relu", "conv", "bn", "conv", "bn", "add",
+            "relu",
+            "fork", "conv", "bn", "add", "relu",
+            "bn", "dwconv", "bn", "relu", "dense", "dense"]
+        # fork writes the shortcut, the projection runs on it, add reads it
+        assert [i for i, st in enumerate(plan) if st.reg == "s"] == [6, 12, 13,
+                                                                   16]
+        convs = [st.layer for st in plan if st.op == "conv"]
+        assert [c.label for c in convs] == [
+            "conv0", "conv1", "block0.conv0", "block0.conv1", "block0.proj",
+            "block1.conv0"]
+        assert [c.layer_id for c in convs] == [None, 0, 1, 2, 3, 4]
+
+    def test_bn_and_dense_indices(self):
+        plan = parse_arch(RESIDUAL).plan
+        bns = [(i, st.index) for i, st in enumerate(plan) if st.op == "bn"]
+        # the projection's bn (step 13, on s) follows the body's (step 11)
+        assert bns == [(1, 0), (4, 1), (8, 2), (11, 3), (13, 4), (18, 5),
+                       (21, 6), (23, 7)]
+        assert plan[13].reg == "s"
+        assert [st.layer.c for st in plan if st.op == "bn"] == [4, 6, 8, 8, 8,
+                                                               8, 8, 8]
+        dense = [st for st in plan if st.op == "dense"]
+        assert [(st.index, st.per, st.out) for st in dense] == [
+            (0, 16, (5,)), (1, 1, (3,))]
+        assert plan[6].out == (6, 8, 8) and plan[12].out == (8, 4, 4)
+
+    def test_hint_taps(self):
+        plan = parse_arch(RESIDUAL).plan
+        taps = {i: st.taps for i, st in enumerate(plan) if st.taps}
+        # conv1's tap moves past its bn and relu; a block's stays on its
+        # closing relu although a top-level bn follows block1
+        assert taps == {5: (0,), 15: (1, 2, 3), 20: (4,)}
+
+    def test_dense_fed_by_unflattened_map(self):
+        """Full: stem 108p/6912f, conv1 216p/13824f, block0 body 432p/
+        6912f and 576p/9216f, proj 48p/768f, block1 576p/9216f, dwconv
+        72p/1152f, dense 8*16*5=640, classifier 15.
+        Masked (3/6, 4/8, 2/8, 5/8, 3/8 kept): stem 108p/6912f, conv1
+        108p/6912f, body 108p/1728f and 72p/1152f, proj 3*5=15p/240f
+        (fork width 3), join max(2, 5)=5, block1 9*5*3=135p/2160f, join
+        max(3, 5)=5, dwconv 45p/720f, dense 5*16*5=400, classifier 15."""
+        spec = parse_arch(RESIDUAL)
+        full = count_stats(spec)
+        assert full.total_params == 108 + 216 + 432 + 576 + 48 + 576 + 72 \
+            + 640 + 15 == 2683
+        assert full.total_flops == 6912 + 13824 + 6912 + 9216 + 768 + 9216 \
+            + 1152 + 640 + 15 == 48655
+        mask = FilterMask({0: [1, 1, 1, 0, 0, 0],
+                           1: [1, 1, 1, 1, 0, 0, 0, 0],
+                           2: [1, 1, 0, 0, 0, 0, 0, 0],
+                           3: [1, 1, 1, 1, 1, 0, 0, 0],
+                           4: [1, 1, 1, 0, 0, 0, 0, 0]})
+        r = count_stats(spec, mask)
+        assert r.total_params == 108 + 108 + 108 + 72 + 15 + 135 + 45 + 400 \
+            + 15 == 1006
+        assert r.total_flops == 6912 + 6912 + 1728 + 1152 + 240 + 2160 + 720 \
+            + 400 + 15 == 20239
+        assert r.layers[-2].params == 400
+        assert [row.group for row in r.layers] == [
+            "conv0", "conv1", "block0", "block0", "block0", "block1",
+            "dwconv0", "dense0", "classifier"]
+
+
 class TestCompressionReport:
     def test_identity(self):
         rep = compression_report((100, 50), (100, 50))

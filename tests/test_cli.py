@@ -316,6 +316,19 @@ class TestExport:
         for r in rows:
             float(r["mean_loss"]), float(r["mean_accuracy"])
 
+    def test_reads_the_checkpoint_once(self, trained_run, tiny_arch,
+                                       monkeypatch):
+        import cascadeprune.cli as cli
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counting)
+        assert main(["export", trained_run, "--arch", tiny_arch]) == 0
+        assert len(reads) == 1
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["export", str(tmp_path / "nope")]) == 2
 
@@ -332,9 +345,11 @@ class TestInvocation:
         assert main([]) == 1
 
     def test_module_entry_point(self):
+        # the child imports the package from wherever this process does
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run(
             [sys.executable, "-m", "cascadeprune.cli",
              "analyze", "vgg16_cifar10"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert "14.98M params" in proc.stdout

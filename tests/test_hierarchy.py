@@ -506,19 +506,6 @@ class TestGammaRouting:
         for lid in grads[1]:
             assert np.any(grads[1][lid] != 0.0)
 
-    def test_own_gradient_variant_adds_both_contexts(self):
-        h = toy_hierarchy(dtype="f64")
-        x, labels = batch(12)
-        fws = run_losses_and_backward(h, x, labels)
-        plain = h.route_gamma_gradients(fws)
-        with_own = h.route_gamma_gradients(fws, include_own=True)
-        for i in plain:
-            for lid in plain[i]:
-                own_ctx = fws[i].contexts[lid]
-                own = surrogate_gamma_grad(own_ctx.out.grad, own_ctx.x.data,
-                                           own_ctx.weight.data)
-                assert np.array_equal(with_own[i][lid], plain[i][lid] + own)
-
     def test_routing_needs_no_slot0_context(self):
         """Slot 0 saving no contexts (so computing only its kept filters)
         leaves every routed gradient bit for bit as with all contexts."""
@@ -543,14 +530,6 @@ class TestGammaRouting:
         assert [bool(fw.contexts) for fw in fws] == [True, False, True]
         fws = h.forward_all(x, mode="train", want_context=False)
         assert not any(fw.contexts for fw in fws)
-
-    def test_own_gradient_without_own_context_names_slot_and_layer(self):
-        h = toy_hierarchy(dtype="f64")
-        x, labels = batch(17)
-        fws = run_losses_and_backward(h, x, labels, want_context=range(1, 3))
-        lid = min(fws[1].contexts)
-        with pytest.raises(HierarchyError, match=f"slot 0 layer {lid}"):
-            h.route_gamma_gradients(fws, include_own=True)
 
     def test_missing_backward_raises(self):
         h = toy_hierarchy()
