@@ -47,11 +47,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    """Whether ops record the graph: False inside a no_grad block."""
-    return _grad_enabled
-
-
 def _next_node_id() -> int:
     global _node_counter
     _node_counter += 1
@@ -242,18 +237,6 @@ class BatchNormState:
         self.running_mean = np.zeros(channels, dtype=dt)
         self.running_var = np.ones(channels, dtype=dt)
 
-    def take(self, index: np.ndarray) -> "BatchNormState":
-        """The channels at index as a state of their own, holding gathered
-        copies of gamma, beta and the running statistics. An eval-mode
-        batch_norm over it equals this state's on those channels, bit for
-        bit; nothing written to it reaches this state."""
-        part = BatchNormState("take", len(index), dtype=self.running_mean.dtype)
-        part.gamma = Parameter("take.gamma", self.gamma.data[index], trainable=False)
-        part.beta = Parameter("take.beta", self.beta.data[index], trainable=False)
-        part.running_mean = self.running_mean[index]
-        part.running_var = self.running_var[index]
-        return part
-
 
 # ---------------------------------------------------------------------------
 # convolution
@@ -296,16 +279,17 @@ def _patches(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarra
 
     Row (b, a, c) holds what output pixel (a, c) of image b reads, tap by
     tap, so its column order (i, j, channel) matches a (K,K,Cin,Cout)
-    kernel reshaped to (K*K*Cin, Cout). A 1x1 stride-1 conv reads every
+    kernel reshaped to (K*K*Cin, Cout). It is one copy of the strided
+    window view, transposed to (N, Ho, Wo, K, K, C): each window row is a
+    run of K*C contiguous input values. A 1x1 stride-1 conv reads every
     pixel once: the input itself is the patch matrix, and no copy is made.
     """
     n, _, _, c = xp.shape
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    cols = np.empty((n, ho, wo, k, k, c), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j] = _tap(xp, i, j, stride, ho, wo)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    windows = windows[:, :stride * ho:stride, :stride * wo:stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
     return cols.reshape(n * ho * wo, k * k * c)
 
 
@@ -547,8 +531,9 @@ def dense(x: Tensor, w: Tensor) -> Tensor:
 def _channel_sum(a: np.ndarray) -> np.ndarray:
     """Per-channel sum of an (N,C,H,W) array: the batch axis first (N-1
     whole-array adds), then each channel's H*W run. Summing over axes
-    (0, 2, 3) in one call is several times slower on small maps."""
-    return a.sum(axis=0).reshape(a.shape[1], -1).sum(axis=1)
+    (0, 2, 3) in one call is several times slower on small maps. H*W is
+    spelled out so that an input with no channels reshapes too."""
+    return a.sum(axis=0).reshape(a.shape[1], a.shape[2] * a.shape[3]).sum(axis=1)
 
 
 def _spread(v: np.ndarray, shape: tuple) -> np.ndarray:
@@ -560,14 +545,27 @@ def _spread(v: np.ndarray, shape: tuple) -> np.ndarray:
     return np.repeat(v, h * w).reshape(1, c, h, w)
 
 
+def _put(a: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of a with values written at index."""
+    out = a.copy()
+    out[index] = values
+    return out
+
+
 def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
-               momentum: float = 0.9, epsilon: float = 1e-5) -> Tensor:
+               momentum: float = 0.9, epsilon: float = 1e-5,
+               index: Optional[np.ndarray] = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes by batch statistics and moves the running stats
     by an exponential average (running = momentum*running + (1-m)*batch);
     eval mode normalizes by the running stats. Affine transform applied in
     both modes.
+
+    With index, x holds only the state's channels at those positions:
+    gamma and beta are gathered on the tape (their gradients scatter back
+    into zeros), and train mode writes the running statistics of those
+    channels alone.
 
     Every per-channel reduction sums the batch axis first and then each
     channel's H*W values. The variance is the biased mean of the squared
@@ -578,11 +576,16 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     xhat = xc * inv_std:
     gx = gamma * inv_std * (g - gbeta/m - xhat * ggamma/m), m = N*H*W.
     """
-    if x.data.ndim != 4 or x.shape[1] != state.channels:
-        raise ShapeError(f"batch_norm expects (N,{state.channels},H,W), got {x.shape}")
+    channels = state.channels if index is None else len(index)
+    if x.data.ndim != 4 or x.shape[1] != channels:
+        raise ShapeError(f"batch_norm expects (N,{channels},H,W), got {x.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     gamma, beta = state.gamma.value, state.beta.value
+    running_mean, running_var = state.running_mean, state.running_var
+    if index is not None:
+        gamma, beta = take(gamma, index, axis=0), take(beta, index, axis=0)
+        running_mean, running_var = running_mean[index], running_var[index]
     _check_same_dtype(x, gamma, beta)
     shape = x.shape
     m = shape[0] * shape[2] * shape[3]
@@ -592,12 +595,15 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
         xc = x.data - _spread(mu, shape)
         y = np.multiply(xc, xc)
         var = _channel_sum(y) / m
-        state.running_mean = (momentum * state.running_mean
-                              + (1.0 - momentum) * mu).astype(x.dtype)
-        state.running_var = (momentum * state.running_var
-                             + (1.0 - momentum) * var).astype(x.dtype)
+        new_mean = (momentum * running_mean + (1.0 - momentum) * mu).astype(x.dtype)
+        new_var = (momentum * running_var + (1.0 - momentum) * var).astype(x.dtype)
+        if index is None:
+            state.running_mean, state.running_var = new_mean, new_var
+        else:
+            state.running_mean = _put(state.running_mean, index, new_mean)
+            state.running_var = _put(state.running_var, index, new_var)
     else:
-        mu, var = state.running_mean, state.running_var
+        mu, var = running_mean, running_var
         xc = None  # the eval backward recentres x itself
         y = np.subtract(x.data, _spread(mu, shape))
     inv_std = 1.0 / np.sqrt(var + epsilon)
@@ -766,13 +772,20 @@ def flatten(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b. Either operand may have batch axis 1 where the other has N:
+    it is added to every row, and its gradient is summed over axis 0."""
     _check_same_dtype(a, b)
-    if a.shape != b.shape:
+    rows = a.data.ndim == b.data.ndim > 0 and a.shape[1:] == b.shape[1:] \
+        and 1 in (a.shape[0], b.shape[0])
+    if a.shape != b.shape and not rows:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     y = a.data + b.data
 
+    def grad_for(t: Tensor, g: np.ndarray) -> np.ndarray:
+        return g if t.shape == g.shape else g.sum(axis=0, keepdims=True)
+
     def bwd(g: np.ndarray):
-        return g, g
+        return grad_for(a, g), grad_for(b, g)
 
     return _make(y, "add", (a, b), bwd)
 

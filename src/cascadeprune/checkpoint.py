@@ -64,16 +64,16 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
     chunks.append(struct.pack("<I", len(blob)))
     chunks.append(blob)
 
-    _write_atomically(path, lambda fh: fh.write(b"".join(chunks)))
+    write_atomically(path, lambda fh: fh.write(b"".join(chunks)))
 
 
 def copy_checkpoint(src: str, dst: str) -> None:
     """Copy the file src over dst, as atomically as save_checkpoint writes."""
     with open(src, "rb") as fin:
-        _write_atomically(dst, lambda fh: shutil.copyfileobj(fin, fh))
+        write_atomically(dst, lambda fh: shutil.copyfileobj(fin, fh))
 
 
-def _write_atomically(path: str, write) -> None:
+def write_atomically(path: str, write) -> None:
     """Run write(fh) on a temp file in path's directory, then rename it over
     path: readers see the old file or the new one, never a partial one,
     and a failed write leaves no temp file behind."""

@@ -344,7 +344,7 @@ def cmd_finetune(args) -> int:
         raise CLIError("--checkpoint is required for finetune")
     if not cfg["out"]:
         raise CLIError("--out is required for finetune")
-    _, meta = load_checkpoint(args.checkpoint)
+    tensors, meta = load_checkpoint(args.checkpoint)
     if meta.get("kind") != "cascade-train":
         raise CLIError(f"{args.checkpoint}: not a training checkpoint")
     arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
@@ -355,7 +355,8 @@ def cmd_finetune(args) -> int:
     trainer = Trainer(h, train, build_train_config(cfg, augment),
                       val_data=test, out_dir=cfg["out"])
     write_resolved_config(cfg, cfg["out"])
-    trainer.load(args.checkpoint)
+    trainer.load_state(tensors, meta, source=args.checkpoint)
+    del tensors  # let the loaded weights go once training replaces them
     try:
         _stage_epochs(trainer, cfg["out"], trainer.finetune_epoch,
                       cfg["finetune_epochs"])

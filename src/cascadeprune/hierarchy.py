@@ -12,23 +12,21 @@ each masked conv output, its input activations, and the shared kernel),
 never from slot i's own pass. That is what lets a filter that slot i has
 pruned keep receiving meaningful updates, since slot i+1 still runs it.
 
-One loop over the arch's compiled plan runs a slot in one of three
-forms:
+One loop over the arch's compiled plan runs a slot in one of two forms:
 
-- On the tape, saving contexts: every activation at full width, each
-  masked conv computing all filters and masking them (masked_conv2d),
-  so that score routing can read the unmasked output.
-- On the tape, without contexts: still full width, but each masked conv
-  computes only its kept filters and places them among zero channels
-  (kept_filter_conv2d).
-- Eval mode with no graph recorded and no contexts (evaluation, the
-  frozen teacher, a fine-tune teacher slot): activations at their live
-  channels only. A pruned filter's output is exactly zero for every
-  input, so what batch norm and the layers after it make of it up to
-  the next conv or dense layer is one input-independent map; it is
-  computed on one image and added into that layer's output. The logits
-  equal the full-width ones up to float summation order, and the cost
-  follows the kept widths that count_stats prices.
+- Saving routing contexts (slots 1 and up in a joint step): every
+  activation at full width, each masked conv computing all filters and
+  masking them (masked_conv2d), so that score routing can read the
+  unmasked output.
+- Every other pass, train or eval, on the tape or not (the fine-tune
+  student, slot 0 of a joint step, every slot of an intermediate epoch,
+  evaluation, the frozen teacher): activations at their live channels
+  only. A pruned filter's output is exactly zero for every input, so
+  what batch norm and the layers after it make of it up to the next
+  conv or dense layer is one input-independent map; it is computed on
+  one image and added into that layer's output. The logits and every
+  gradient equal the full-width ones up to float summation order, and
+  the cost follows the kept widths that count_stats prices.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from . import autodiff as ad
 from .arch import ArchSpec, ConvL, DWConvL, PoolL
 from .autodiff import BatchNormState, Parameter, Tensor
 from .masking import (FilterMask, ImportanceScores, PruneConfig, build_mask,
-                      kept_filter_conv2d, masked_conv2d, surrogate_gamma_grad)
+                      masked_conv2d, surrogate_gamma_grad)
 
 
 class HierarchyError(RuntimeError):
@@ -247,8 +245,8 @@ class ModelHierarchy:
         retained gradient) so the cascade can form score gradients after
         one backward pass. want_context is True (every slot), False (no
         slot) or the indices of the slots that save contexts; score
-        routing reads slots 1 and up. A slot that saves none computes
-        only its kept filters.
+        routing reads slots 1 and up. A slot that saves none runs at its
+        kept width.
         """
         if isinstance(want_context, bool):
             want_context = range(len(self.slots)) if want_context else ()
@@ -291,15 +289,11 @@ class ModelHierarchy:
     def _forward_one(self, x: Tensor, weights: dict[str, Parameter],
                      state: SlotState, mode: str, hint_ids: set[int],
                      want_context: bool) -> SlotForward:
-        """The one loop over the arch's plan. An eval pass that records no
-        graph and saves no contexts runs at kept width (_KeptWidth); every
-        other pass records full-width tensors on the tape (_FullWidth).
-        Ids whose taps share a step collapse into one map, named after
-        the smallest."""
-        if mode == "eval" and not want_context and not ad.grad_enabled():
-            ops = _KeptWidth()
-        else:
-            ops = _FullWidth(mode, want_context)
+        """The one loop over the arch's plan. A pass that saves routing
+        contexts runs at full width (_FullWidth); every other pass runs at
+        kept width (_KeptWidth). Ids whose taps share a step collapse into
+        one map, named after the smallest."""
+        ops = _FullWidth(mode) if want_context else _KeptWidth(mode)
         reg = {"x": ops.start(x)}
         hints: dict[str, Tensor] = {}
         for st in self.arch.plan:
@@ -452,14 +446,12 @@ class ModelHierarchy:
 # ---------------------------------------------------------------------------
 
 class _FullWidth:
-    """Ops that record on the tape, every activation at full width. A
-    masked conv saves a routing context (masked_conv2d) when the slot
-    wants contexts, and otherwise computes only its kept filters
-    (kept_filter_conv2d)."""
+    """Ops of a pass that saves routing contexts: every activation at full
+    width, each masked conv computing all its filters and saving its
+    input, raw output and masked output (masked_conv2d)."""
 
-    def __init__(self, mode: str, want_context: bool):
+    def __init__(self, mode: str):
         self.mode = mode
-        self.want_context = want_context
         self.contexts: dict[int, LayerContext] = {}
 
     def start(self, x: Tensor) -> Tensor:
@@ -471,8 +463,6 @@ class _FullWidth:
     def conv(self, t: Tensor, w: Parameter, mask, it: ConvL) -> Tensor:
         if mask is None:
             return ad.conv2d(t, w.value, it.stride, it.padding)
-        if not self.want_context:
-            return kept_filter_conv2d(t, w.value, mask, it.stride, it.padding)
         pre, out = masked_conv2d(t, w.value, mask, it.stride, it.padding)
         out.retain_grad()
         self.contexts[it.layer_id] = LayerContext(
@@ -509,15 +499,19 @@ class _Live:
 
     data holds the channels listed in live (all `width` channels when
     live is None). Every other channel is the same for every image: zero
-    when fold is None, else the matching channel of fold, a one-image
-    full-width map (its live channels hold nothing of use). That is what
-    a pruned filter's exact-zero output becomes through batch norm, relu,
-    pooling and depthwise convs up to the next conv or dense layer.
+    when fold is None, else the matching channel of fold, a one-image map
+    of those dead channels only, in order. That is what a pruned filter's
+    exact-zero output becomes through batch norm, relu, pooling and
+    depthwise convs up to the next conv or dense layer.
     """
-    data: np.ndarray
+    data: Tensor
     width: int
     live: Optional[np.ndarray] = None
-    fold: Optional[np.ndarray] = None
+    fold: Optional[Tensor] = None
+
+    @property
+    def dead(self) -> np.ndarray:
+        return _dead(self.live, self.width)
 
 
 def _dead(live: np.ndarray, width: int) -> np.ndarray:
@@ -526,90 +520,91 @@ def _dead(live: np.ndarray, width: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _widen(v: _Live, index: np.ndarray) -> np.ndarray:
+def _widen(v: _Live, index: np.ndarray) -> Tensor:
     """Channels `index` (sorted, holding every live channel) of v's
-    full-width activation."""
+    full-width activation, on the tape."""
     if v.live is None or np.array_equal(v.live, index):
         return v.data
-    n, _, h, w = v.data.shape
-    out = np.empty((n, len(index), h, w), dtype=v.data.dtype)
-    hit = np.zeros(v.width, dtype=bool)
-    hit[v.live] = True
-    sel = hit[index]
-    out[:, sel] = v.data
-    out[:, ~sel] = 0.0 if v.fold is None else v.fold[:, index[~sel]]
-    return out
-
-
-def _narrowed(data: np.ndarray, live: Optional[np.ndarray], width: int,
-              fold: Optional[np.ndarray] = None) -> _Live:
-    """A _Live whose live index is None when it lists every channel."""
-    if live is not None and live.size == width:
-        return _Live(data, width)
-    return _Live(data, width, live, fold)
+    out = ad.place(v.data, np.searchsorted(index, v.live), len(index), axis=1)
+    if v.fold is None:
+        return out
+    rest = np.setdiff1d(index, v.live, assume_unique=True)
+    fold = ad.take(v.fold, np.searchsorted(v.dead, rest), axis=1)
+    return ad.add(out, ad.place(fold, np.searchsorted(index, rest), len(index),
+                                axis=1))
 
 
 class _KeptWidth:
-    """Ops of an eval pass that records no graph: activations at their
-    live channels (_Live), so a pruned slot pays only for what it keeps.
+    """Ops of a pass that saves no routing context, train or eval:
+    activations at their live channels (_Live), so a pruned slot pays
+    only for what it keeps. They record on the tape when grad is enabled.
 
     A conv gathers the kernel rows of its live inputs and the columns of
-    its kept filters on every call, and adds what the other inputs
-    contribute: one image's conv over the fold, broadcast over the batch.
-    Batch norm, relu, pooling and depthwise convs run on the live
-    channels with gathered per-channel parameters, and on the fold at
-    full width. A residual join keeps the union of its sides' live
-    channels. The result equals the full-width pass up to float summation
-    order in the convs and dense layers, including what pruned channels
-    leak through batch norm.
+    its kept filters on every call (ad.take, whose gradient scatters into
+    zeros), and adds what the dead inputs contribute: one image's conv
+    over the fold, added to every image. Batch norm, relu, pooling and
+    depthwise convs run on the live channels with gathered per-channel
+    parameters, and on the fold. A residual join keeps the union of its
+    sides' live channels. The result equals the full-width pass up to
+    float summation order, including what pruned channels leak through
+    batch norm. In train mode the fold goes through batch norm with its
+    own one-image statistics: every image's dead channel is the same, so
+    they equal the batch's, and the one-image backward of the fold's
+    gradient (the batch sum) is the batch sum of the per-image input
+    gradients.
     """
 
-    def __init__(self):
+    def __init__(self, mode: str):
+        self.mode = mode
         self.contexts: dict[int, LayerContext] = {}
 
     def start(self, x: Tensor) -> _Live:
-        return _Live(x.data, x.shape[1])
+        return _Live(x, x.shape[1])
 
     def full(self, v: _Live) -> Tensor:
-        if v.live is None:
-            return Tensor(v.data)
-        return Tensor(_widen(v, np.arange(v.width)))
+        return _widen(v, np.arange(v.width))
 
     def conv(self, v: _Live, w: Parameter, mask, it: ConvL) -> _Live:
         # rows before columns: gathering whole rows first is the faster order
         kept = None if mask is None or mask.all() else np.flatnonzero(mask)
-        kernel = w.data if v.live is None else np.take(w.data, v.live, axis=2)
+        kernel = w.value if v.live is None else ad.take(w.value, v.live, axis=2)
         if kept is not None:
-            kernel = np.take(kernel, kept, axis=3)
-        y = ad.conv2d_raw(v.data, kernel, it.stride, it.padding)
+            kernel = ad.take(kernel, kept, axis=3)
+        y = ad.conv2d(v.data, kernel, it.stride, it.padding)
         if v.fold is not None:
-            dead = _dead(v.live, v.width)
-            f = ad.conv2d_raw(v.fold[:, dead], np.take(w.data, dead, axis=2),
-                              it.stride, it.padding)
-            y += f if kept is None else f[:, kept]
-        return _narrowed(y, kept, w.shape[3])
+            f = ad.conv2d(v.fold, ad.take(w.value, v.dead, axis=2),
+                          it.stride, it.padding)
+            y = ad.add(y, f if kept is None else ad.take(f, kept, axis=1))
+        return _Live(y, w.shape[3], kept)
 
     def dwconv(self, v: _Live, w: Parameter, it: DWConvL) -> _Live:
-        kernel = w.data if v.live is None else np.take(w.data, v.live, axis=2)
-        y = ad.depthwise_conv2d_raw(v.data, kernel, it.stride, it.padding)
+        if v.live is None:
+            return _Live(ad.depthwise_conv2d(v.data, w.value, it.stride,
+                                             it.padding), v.width)
+        y = ad.depthwise_conv2d(v.data, ad.take(w.value, v.live, axis=2),
+                                it.stride, it.padding)
         fold = None
         if v.fold is not None:
-            fold = ad.depthwise_conv2d_raw(v.fold, w.data, it.stride, it.padding)
+            fold = ad.depthwise_conv2d(v.fold, ad.take(w.value, v.dead, axis=2),
+                                       it.stride, it.padding)
         return _Live(y, v.width, v.live, fold)
 
     def bn(self, v: _Live, bn: BatchNormState) -> _Live:
         if v.live is None:
-            return _Live(ad.batch_norm(Tensor(v.data), bn, mode="eval").data, v.width)
-        y = ad.batch_norm(Tensor(v.data), bn.take(v.live), mode="eval").data
+            return _Live(ad.batch_norm(v.data, bn, mode=self.mode), v.width)
+        y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
+        dead = v.dead
         fold = v.fold
         if fold is None:
-            fold = np.zeros((1, v.width) + v.data.shape[2:], dtype=v.data.dtype)
-        fold = ad.batch_norm(Tensor(fold), bn, mode="eval").data
+            fold = Tensor(np.zeros((1, dead.size) + v.data.shape[2:],
+                                   dtype=v.data.dtype))
+        fold = ad.batch_norm(fold, bn, mode=self.mode, index=dead)
         return _Live(y, v.width, v.live, fold)
 
-    def _pointwise(self, v: _Live, op) -> _Live:
-        fold = None if v.fold is None else op(Tensor(v.fold)).data
-        return _Live(op(Tensor(v.data)).data, v.width, v.live, fold)
+    @staticmethod
+    def _pointwise(v: _Live, op) -> _Live:
+        fold = None if v.fold is None else op(v.fold)
+        return _Live(op(v.data), v.width, v.live, fold)
 
     def relu(self, v: _Live) -> _Live:
         return self._pointwise(v, ad.relu)
@@ -622,28 +617,36 @@ class _KeptWidth:
         return self._pointwise(v, ad.global_avg_pool)
 
     def dense(self, v: _Live, w: Parameter) -> _Live:
-        x = v.data.reshape(v.data.shape[0], -1)
+        x = v.data if v.data.data.ndim == 2 else ad.flatten(v.data)
         if v.live is None:
-            y = ad.dense(Tensor(x), w.value).data
-        else:
-            per = int(np.prod(v.data.shape[2:], dtype=np.int64))  # 1 after gap
-            rows = (v.live[:, None] * per + np.arange(per)).reshape(-1)
-            y = ad.dense(Tensor(x), Tensor(np.take(w.data, rows, axis=0))).data
-            if v.fold is not None:
-                dead = _dead(rows, w.shape[0])
-                y = y + ad.dense(Tensor(v.fold.reshape(1, -1)[:, dead]),
-                                 Tensor(np.take(w.data, dead, axis=0))).data
+            return _Live(ad.dense(x, w.value), w.shape[1])
+        per = int(np.prod(v.data.shape[2:], dtype=np.int64))  # 1 after gap
+
+        def rows(channels):
+            return (channels[:, None] * per + np.arange(per)).reshape(-1)
+
+        y = ad.dense(x, ad.take(w.value, rows(v.live), axis=0))
+        if v.fold is not None:
+            f = ad.dense(ad.reshape(v.fold, (1, -1)),
+                         ad.take(w.value, rows(v.dead), axis=0))
+            y = ad.add(y, f)
         return _Live(y, w.shape[1])
 
     def add(self, a: _Live, b: _Live) -> _Live:
         if a.live is None and b.live is None:
-            return _Live(a.data + b.data, a.width)
+            return _Live(ad.add(a.data, b.data), a.width)
         if a.live is None or b.live is None:
             index = np.arange(a.width)
         else:
             index = np.union1d(a.live, b.live)
-        if a.fold is None or b.fold is None:
-            fold = b.fold if a.fold is None else a.fold
-        else:
-            fold = a.fold + b.fold
-        return _narrowed(_widen(a, index) + _widen(b, index), index, a.width, fold)
+        y = ad.add(_widen(a, index), _widen(b, index))
+        if index.size == a.width:
+            return _Live(y, a.width)
+        # the join's dead channels are dead on both sides
+        dead = _dead(index, a.width)
+        fold = None
+        for side in (a, b):
+            if side.fold is not None:
+                part = ad.take(side.fold, np.searchsorted(side.dead, dead), axis=1)
+                fold = part if fold is None else ad.add(fold, part)
+        return _Live(y, a.width, index, fold)

@@ -8,16 +8,13 @@ gradient (gradient of the loss w.r.t. a per-channel multiplier,
 evaluated on the unmasked pre-activation) so that disabled filters can
 still compete and re-enter on later mask refreshes.
 
-On the tape, a masked conv runs in one of two forms whose output and
-gradients agree up to float summation order. ``masked_conv2d`` computes
-every filter and multiplies the output channelwise by the mask; it also
-returns the unmasked output, which score routing reads.
-``kept_filter_conv2d`` convolves only the kept filters and places them
-among zero channels, so its cost falls with the keep ratio; callers use
-it whenever nothing reads the unmasked output. An eval pass that records
-no graph uses neither: the hierarchy then carries activations at their
-live channels and gathers kernel rows and columns itself (see
-hierarchy.py).
+A masked conv runs in one of two forms whose outputs and gradients agree
+up to float summation order. ``masked_conv2d`` computes every filter and
+multiplies the output channelwise by the mask; it also returns the
+unmasked output, which score routing reads, so only a pass that saves
+routing contexts uses it. Every other pass, train or eval, carries
+activations at their live channels and convolves gathered kernel rows
+and columns (see hierarchy.py), so its cost falls with the keep ratio.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, ShapeError, channel_scale, conv2d, conv2d_raw,
-                       place, take)
+from .autodiff import Tensor, ShapeError, channel_scale, conv2d, conv2d_raw
 
 
 class MaskError(ValueError):
@@ -166,14 +162,6 @@ def build_mask(scores: ImportanceScores, config: PruneConfig) -> FilterMask:
     return FilterMask(mask)
 
 
-def _checked_mask(mask, w: Tensor) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.ndim != 1 or mask.shape[0] != w.shape[3]:
-        raise ShapeError(f"mask length {mask.shape} does not match "
-                         f"{w.shape[3]} output filters")
-    return mask
-
-
 def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray,
                   stride: int = 1, padding: str = "same") -> tuple[Tensor, Tensor]:
     """Convolution with disabled output channels zeroed.
@@ -182,28 +170,13 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray,
     raw tensor is what the surrogate score gradient needs, so callers
     that route scores keep both.
     """
-    mask = _checked_mask(mask, w)
+    mask = np.asarray(mask)
+    if mask.ndim != 1 or mask.shape[0] != w.shape[3]:
+        raise ShapeError(f"mask length {mask.shape} does not match "
+                         f"{w.shape[3]} output filters")
     pre = conv2d(x, w, stride=stride, padding=padding)
     out = channel_scale(pre, mask.astype(x.dtype))
     return pre, out
-
-
-def kept_filter_conv2d(x: Tensor, w: Tensor, mask: np.ndarray,
-                       stride: int = 1, padding: str = "same") -> Tensor:
-    """masked_conv2d's masked output, computed from the kept filters only.
-
-    The kept kernel columns are gathered (their gradient scatters back
-    into zeros, so a pruned filter's kernel gradient is exactly zero),
-    convolved, and placed at the kept channels of a zero output. An
-    all-ones mask is a plain conv. No unmasked output exists, so score
-    routing cannot use this form.
-    """
-    mask = _checked_mask(mask, w)
-    if mask.all():
-        return conv2d(x, w, stride=stride, padding=padding)
-    kept = np.flatnonzero(mask)
-    y = conv2d(x, take(w, kept, axis=3), stride=stride, padding=padding)
-    return place(y, kept, mask.shape[0], axis=1)
 
 
 def surrogate_gamma_grad(dL_dY: np.ndarray, x: np.ndarray, w: np.ndarray,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .arch import count_stats
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomically
 from .data import AugmentConfig, Dataset, batches
 from .distill import DistillConfig, slot_loss
 from .hierarchy import ModelHierarchy, SlotForward
@@ -135,6 +135,22 @@ class MetricsWriter:
                 cells.append(repr(v) if isinstance(v, float) else str(v))
             self._fh.write(",".join(cells) + "\n")
             self._fh.flush()
+
+    def drop_from(self, step: int) -> None:
+        """Forget every row at step >= `step`, in memory and in the file,
+        which is rewritten atomically with its header when it holds any."""
+        self.rows = [r for r in self.rows if r["step"] < step]
+        if self._fh is None:
+            return
+        with open(self.path) as fh:
+            header, *body = fh.readlines()
+        keep = [line for line in body if int(line.split(",", 1)[0]) < step]
+        if len(keep) == len(body):
+            return
+        self._fh.close()
+        write_atomically(self.path, lambda fh: fh.write(
+            "".join([header] + keep).encode()))
+        self._fh = open(self.path, "a")
 
     def close(self) -> None:
         if self._fh is not None:
@@ -378,9 +394,16 @@ class Trainer:
         save_checkpoint(path, tensors, meta)
 
     def load(self, path: str) -> None:
-        tensors, meta = load_checkpoint(path)
+        self.load_state(*load_checkpoint(path), source=path)
+
+    def load_state(self, tensors: dict[str, np.ndarray], meta: dict,
+                   source: str = "checkpoint") -> None:
+        """Resume from a checkpoint's tensors and meta, already read from
+        source. Metrics rows at or past the checkpoint's step, written
+        by a run that went on after it, are dropped, so that resuming
+        into the same out dir does not repeat them."""
         if meta.get("kind") != "cascade-train":
-            raise TrainingError(f"{path}: not a training checkpoint")
+            raise TrainingError(f"{source}: not a training checkpoint")
         if meta.get("keep_ratios") != self.h.keep_ratios:
             raise TrainingError(f"checkpoint keep ratios "
                                 f"{meta.get('keep_ratios')} do not match the "
@@ -391,6 +414,7 @@ class Trainer:
         self.weight_opt.load_state_tensors("opt", tensors)
         self.score_opt.load_state_tensors("scoreopt", tensors)
         self.state = TrainState(**meta["state"])
+        self.metrics.drop_from(self.state.step)
 
     def close(self) -> None:
         self.metrics.close()

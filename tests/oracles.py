@@ -50,6 +50,21 @@ def conv2d_loops(x, w, stride=1, padding="same"):
     return y
 
 
+def patches_loops(x, k, stride=1, padding="same"):
+    """The (N*Ho*Wo, K*K*C) patch matrix of an im2col conv, tap by tap:
+    row (b, i, j) holds, at column (u, v, ci), the padded input that
+    output pixel (i, j) of image b reads at kernel tap (u, v)."""
+    n, c = x.shape[:2]
+    xp, ho, wo, _, _ = _padded(x, k, stride, padding)
+    cols = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
+    for i in range(ho):
+        for j in range(wo):
+            for u in range(k):
+                for v in range(k):
+                    cols[:, i, j, u, v] = xp[:, :, i * stride + u, j * stride + v]
+    return cols.reshape(n * ho * wo, k * k * c)
+
+
 def conv2d_vjp_loops(x, w, g, stride=1, padding="same"):
     """Gradients of sum(g * conv2d(x, w)) with respect to x and w, by the
     same loops as the forward: each product xp[b, ci, i*s+u, j*s+v] *

@@ -275,6 +275,25 @@ class TestFinetune:
     def test_checkpoint_required(self, tmp_path, capsys):
         assert main(["finetune", "--out", str(tmp_path / "o")]) == 1
 
+    def test_reads_the_checkpoint_once(self, trained_run, tiny_arch,
+                                       tmp_path, monkeypatch):
+        import cascadeprune.cli as cli
+        import cascadeprune.training as training
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counting)
+        monkeypatch.setattr(training, "load_checkpoint", counting)
+        rc = main(["finetune", "--checkpoint",
+                   os.path.join(trained_run, "latest.ckpt"),
+                   "--arch", tiny_arch, *SYNTH_FLAGS,
+                   "--finetune-epochs", "1", "--out", str(tmp_path / "ft")])
+        assert rc == 0
+        assert len(reads) == 1
+
 
 class TestExport:
     def test_histogram_rows_cover_layers_and_slots(self, trained_run,

@@ -241,8 +241,8 @@ class TestKeptFilterForward:
     @pytest.mark.parametrize("text", [TOY, RESIDUAL_TOY], ids=["plain", "residual"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_slot0_logits_do_not_depend_on_context(self, text, mode):
-        """Without saved contexts the student's masked convs compute only
-        their kept filters; its logits match the full-width pass within
+        """Without saved contexts the student runs at its kept width on
+        the tape; its logits match the full-width context pass within
         f32 rounding."""
         arch = parse_arch(text)
         x = np.random.default_rng(8).random((4, arch.in_c, 8, 8))
@@ -251,6 +251,7 @@ class TestKeptFilterForward:
             h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=2)
             fw = h.forward_slot(0, x, mode=mode, want_context=want)
             assert bool(fw.contexts) == want
+            assert fw.logits.requires_grad
             logits[want] = fw.logits.data
         assert not all(v.all() for v in h.student.state.mask.layers.values())
         np.testing.assert_allclose(logits[False], logits[True], rtol=1e-5,
@@ -318,9 +319,10 @@ def half_pruned_student(h, seed=0, disjoint=True):
 
 
 def eval_both_ways(h, slot, x, hint_ids=()):
-    """The same eval forward on the tape (grad enabled, full width) and
-    without a graph (kept width)."""
-    ref = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+    """The same eval forward at full width (saving contexts, on the tape)
+    and at kept width (no contexts, no graph)."""
+    ref = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids,
+                         want_context=True)
     with ad.no_grad():
         got = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
     assert ref.logits.requires_grad and not got.logits.requires_grad
@@ -415,7 +417,8 @@ class TestKeptWidthEval:
 
     @pytest.mark.parametrize("arch_id", ["vgg16_cifar10", "mobilenetv1_cifar100"])
     def test_count_stats_prices_what_runs(self, arch_id, monkeypatch):
-        """At batch 2, the student's kept-width eval does 2 x count_stats'
+        """At batch 2, the student's kept-width pass, an eval one without
+        a graph or a train-mode one on the tape, does 2 x count_stats'
         conv and depthwise FLOPs of multiply-accumulates in its batch
         convs; the one-image convs over pruned channels are not counted."""
         arch = resolve_arch(arch_id)
@@ -436,12 +439,126 @@ class TestKeptWidthEval:
             ad.depthwise_conv2d_raw, lambda w: w.shape[0] * w.shape[1]))
         x = np.random.default_rng(8).standard_normal(
             (2, arch.in_c, arch.in_h, arch.in_w)).astype(np.float32)
-        with ad.no_grad():
-            h.forward_slot(0, x, mode="eval")
         rows = count_stats(arch, h.student.state.mask).layers
         priced = sum(r.flops for r in rows if len(r.out_shape) == 3)
-        assert sum(macs) == 2 * priced
         assert priced < count_stats(arch).total_flops / 2
+        with ad.no_grad():
+            h.forward_slot(0, x, mode="eval")
+        assert sum(macs) == 2 * priced
+        macs.clear()
+        assert h.forward_slot(0, x, mode="train").logits.requires_grad
+        assert sum(macs) == 2 * priced
+
+
+def train_both_ways(h, slot, x, labels, hint_ids):
+    """One train-mode forward and backward of a slot at full width (saving
+    contexts) and at kept width (saving none), each from the same state.
+    The loss is cross-entropy plus a random weighting of every hint map.
+    Returns, per way, the logits, the hint maps, the gradient of every
+    parameter the slot reaches and the slot's BN running statistics."""
+    start = {k: v.copy() for k, v in h.named_tensors().items()}
+    rng = np.random.default_rng(17)
+    weights = {}
+    out = {}
+    for want in (True, False):
+        h.load_named_tensors(start)
+        fw = h.forward_slot(slot, x, mode="train", hint_ids=hint_ids,
+                            want_context=want)
+        assert bool(fw.contexts) == want
+        loss = ad.softmax_cross_entropy(fw.logits, labels)
+        for k, m in sorted(fw.hint_maps.items()):
+            if k not in weights:
+                weights[k] = rng.standard_normal(m.shape).astype(m.dtype)
+            loss = ad.add(loss, ad.tensor_sum(ad.mul_const(m, weights[k])))
+        ad.backward(loss)
+        params = h.shared_parameters() + h.slot_parameters(slot)
+        out[want] = {
+            "logits": fw.logits.data,
+            "hints": {k: m.data for k, m in fw.hint_maps.items()},
+            "grads": {p.name: p.grad.copy() for p in params},
+            "stats": {f"{j}.{name}": getattr(bn, name).copy()
+                      for j, bn in enumerate(h.slots[slot].state.bns)
+                      for name in ("running_mean", "running_var")},
+        }
+        for p in h.all_parameters():
+            p.zero_grad()
+    h.load_named_tensors(start)
+    return out[True], out[False]
+
+
+def assert_close_or_zero(got, want, dtype):
+    """assert_close, or exact zeros where want is all zero (a layer that
+    keeps no filter, a hint map that relu zeroes)."""
+    if np.any(want != 0):
+        assert_close(got, want, dtype)
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestKeptWidthTrain:
+    """A train pass that saves no contexts runs at kept width on the tape
+    and must give the full-width context pass's outputs and gradients."""
+
+    @staticmethod
+    def check(h, slot, dtype, seed=21):
+        arch = h.arch
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, arch.in_c, arch.in_h, arch.in_w))
+        labels = np.eye(arch.classes)[rng.integers(0, arch.classes, 6)]
+        ref, got = train_both_ways(h, slot, x, labels,
+                                   tuple(arch.maskable_sizes))
+        assert_close(got["logits"], ref["logits"], dtype)
+        assert sorted(got["hints"]) == sorted(ref["hints"]) != []
+        for k, m in ref["hints"].items():
+            assert_close_or_zero(got["hints"][k], m, dtype)
+        assert got["grads"].keys() == ref["grads"].keys()
+        for name, g in ref["grads"].items():
+            assert_close_or_zero(got["grads"][name], g, dtype)
+        for name, v in ref["stats"].items():
+            assert_close(got["stats"][name], v, dtype)
+        # pruned filter columns get exactly zero gradient
+        mask = h.slots[slot].state.mask
+        for st in arch.plan:
+            if st.op == "conv" and st.layer.maskable:
+                g = got["grads"][f"shared.{st.layer.label}.w"]
+                assert np.all(g[..., ~mask.layers[st.layer.layer_id]] == 0.0)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_matches_the_full_width_pass(self, net, dtype):
+        h = trained_hierarchy(NETS[net](), dtype)
+        assert any(np.any(bn.beta.data != 0) for bn in h.student.state.bns)
+        for slot in range(len(h.slots)):
+            self.check(h, slot, dtype)
+        # the join's two sides prune disjoint, then overlapping channels
+        for disjoint in (True, False):
+            half_pruned_student(h, disjoint=disjoint)
+            self.check(h, 0, dtype)
+
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_layer_with_no_kept_filter(self, net):
+        h = trained_hierarchy(NETS[net](), "f64", min_filters=0)
+        half_pruned_student(h)
+        layers = dict(h.student.state.mask.layers)
+        first = min(layers)
+        layers[first] = np.zeros_like(layers[first])
+        h.student.state.mask = FilterMask(layers)
+        self.check(h, 0, "f64")
+
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_unpruned_models_bitwise_unchanged(self, net):
+        """The all-ones top slot runs exactly the full-width ops in train
+        mode too: logits, gradients and statistics agree bit for bit."""
+        arch = NETS[net]()
+        h = trained_hierarchy(arch)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((4, arch.in_c, arch.in_h, arch.in_w))
+        labels = np.eye(arch.classes)[rng.integers(0, arch.classes, 4)]
+        ref, got = train_both_ways(h, len(h.slots) - 1, x, labels, ())
+        assert np.array_equal(got["logits"], ref["logits"])
+        for part in ("grads", "stats"):
+            for name, v in ref[part].items():
+                assert np.array_equal(got[part][name], v), name
 
 
 def run_losses_and_backward(h, x, labels, slot_scales=None, want_context=True):

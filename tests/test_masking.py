@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 import cascadeprune.autodiff as ad
 from cascadeprune.masking import (FilterMask, ImportanceScores, MaskError,
                                   PruneConfig, build_mask, keep_count,
-                                  kept_filter_conv2d, masked_conv2d,
-                                  surrogate_gamma_grad)
+                                  masked_conv2d, surrogate_gamma_grad)
 import oracles
 
 
@@ -215,46 +214,8 @@ class TestMaskedConv:
     def test_mask_length_checked(self):
         x = ad.Tensor(np.zeros((1, 2, 4, 4)))
         w = ad.Tensor(np.zeros((3, 3, 2, 4)))
-        for conv in (masked_conv2d, kept_filter_conv2d):
-            with pytest.raises(ad.ShapeError):
-                conv(x, w, np.array([True, False]))
-
-
-class TestKeptFilterConv:
-    @staticmethod
-    def forward_and_grads(conv, x0, w0, g, **kw):
-        x = ad.Tensor(x0, requires_grad=True)
-        w = ad.Tensor(w0, requires_grad=True)
-        out = conv(x, w, **kw)
-        ad.backward(ad.tensor_sum(ad.mul_const(out, g)))
-        return out.data, x.grad, w.grad
-
-    @pytest.mark.parametrize("stride,pad", [(1, "same"), (2, "valid")])
-    @pytest.mark.parametrize("mask", [[1, 0, 1, 1, 0], [0, 0, 0, 1, 0],
-                                      [0, 0, 0, 0, 0]])
-    def test_matches_masked_conv_bit_for_bit(self, stride, pad, mask):
-        """Integer f64 inputs make every sum exact, so computing only the
-        kept filters must give masked_conv2d's output and both gradients
-        bit for bit, and a pruned filter's kernel gradient is exactly 0."""
-        mask = np.array(mask, dtype=bool)
-        rng = np.random.default_rng(91)
-        x0 = oracles.int_tensor(rng, (2, 3, 7, 6))
-        w0 = oracles.int_tensor(rng, (3, 3, 3, 5))
-        kw = dict(mask=mask, stride=stride, padding=pad)
-        probe = masked_conv2d(ad.Tensor(x0), ad.Tensor(w0), **kw)[1]
-        g = oracles.int_tensor(rng, probe.shape)
-        want = self.forward_and_grads(lambda x, w, **k: masked_conv2d(x, w, **k)[1],
-                                      x0, w0, g, **kw)
-        got = self.forward_and_grads(kept_filter_conv2d, x0, w0, g, **kw)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and np.array_equal(a, b)
-        assert np.all(got[2][..., ~mask] == 0.0)
-
-    def test_all_ones_mask_is_a_plain_conv(self):
-        x = ad.Tensor(np.ones((1, 2, 4, 4)))
-        w = ad.Tensor(np.ones((3, 3, 2, 3)), requires_grad=True)
-        out = kept_filter_conv2d(x, w, np.ones(3, dtype=bool))
-        assert out.op == "conv2d" and out.parents == (x, w)
+        with pytest.raises(ad.ShapeError):
+            masked_conv2d(x, w, np.array([True, False]))
 
 
 class TestSurrogateGradient:

@@ -150,6 +150,17 @@ class TestConvKernel:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_patch_matrix_matches_the_tap_loop(self, shape, k, stride, pad):
+        """The one-copy patch matrix holds exactly the values the tap loop
+        reads, in the kernel's (i, j, channel) column order."""
+        _, x, _ = self.operands(24, shape, k)
+        pads, ho, wo = ad._conv_geometry(shape[2], shape[3], k, stride, pad)
+        got = ad._patches(ad._channels_last_padded(x, pads, x.dtype),
+                          k, stride, ho, wo)
+        want = oracles.patches_loops(x, k, stride, pad)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
     @pytest.mark.parametrize("wrt", ["x", "w"])
     def test_f32_backward_of_one_operand(self, shape, k, stride, pad, wrt):
         """Only one operand requires grad: it gets the reference gradient,

@@ -392,6 +392,44 @@ class TestPersistence:
         for ra, rb in zip(tail, resumed.metrics.rows):
             assert ra == rb
 
+    def test_resume_into_the_same_dir_drops_rows_past_the_checkpoint(
+            self, tmp_path):
+        """A run killed partway through the epoch after its last
+        checkpoint leaves that epoch's first rows in metrics.csv; resuming
+        from the checkpoint into the same dir must not repeat them."""
+        whole = self._fresh(out_dir=str(tmp_path / "whole"))
+        whole.pretrain_top(1)
+        whole.run_joint(2)
+        whole.close()
+
+        run_dir = tmp_path / "run"
+        part = self._fresh(out_dir=str(run_dir))
+        part.pretrain_top(1)
+        part.run_joint(1)
+        path = str(run_dir / "mid.ckpt")
+        part.save(path)
+        saved_rows = len(part.metrics.rows)
+
+        def one_batch_then_killed():
+            it = Trainer._epoch_batches(part)
+            yield next(it)
+            raise KeyboardInterrupt
+
+        part._epoch_batches = one_batch_then_killed
+        with pytest.raises(KeyboardInterrupt):
+            part.joint_epoch()
+        part.close()
+        killed = (run_dir / "metrics.csv").read_bytes()
+        assert len(killed.splitlines()) > 1 + saved_rows  # header, rows
+
+        resumed = self._fresh(out_dir=str(run_dir))
+        resumed.load(path)
+        resumed.run_joint(1)
+        resumed.close()
+        want = (tmp_path / "whole" / "metrics.csv").read_bytes()
+        assert len(killed) < len(want)
+        assert (run_dir / "metrics.csv").read_bytes() == want
+
     def test_wrong_ratios_rejected(self, tmp_path):
         a = self._fresh()
         path = str(tmp_path / "s.ckpt")
