@@ -5,6 +5,12 @@ Tensors wrap a numpy array and record the operation that produced them.
 a topological order, since an op can only consume already-built tensors)
 and accumulates gradients into leaves.
 
+A graph is swept once. As the sweep passes a node, it drops the node's
+backward closure and parents, so what the closure saved for the backward
+is freed as soon as nothing below needs it. Every tensor keeps its data,
+and leaves and retained tensors keep their grad; a later backward that
+reaches a swept interior node raises AutodiffError.
+
 Layout conventions, fixed across the whole package:
   activations  (N, C, H, W)
   conv weights (K_h, K_w, C_in, C_out)
@@ -143,7 +149,9 @@ def backward(loss: Tensor) -> None:
 
     Gradients are accumulated (+=) into ``grad`` of every reachable leaf
     and of interior nodes that called ``retain_grad``. Contributions from
-    multiple paths are summed.
+    multiple paths are summed. Every reachable interior node is swept,
+    whether or not a gradient reached it: its closure and parents are
+    dropped once it has passed its gradient on.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -156,6 +164,9 @@ def backward(loss: Tensor) -> None:
         t = stack.pop()
         if t.node_id in nodes:
             continue
+        if t.op != "leaf" and t._backward is None:
+            raise AutodiffError(f"the {t.op} node was swept by an earlier "
+                                "backward; a graph can be swept only once")
         nodes[t.node_id] = t
         for p in t.parents:
             if p.requires_grad:
@@ -163,7 +174,9 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for nid in sorted(nodes, reverse=True):
-        t = nodes[nid]
+        t = nodes.pop(nid)
+        bwd, parents = t._backward, t.parents
+        t._backward, t.parents = None, ()
         g = grads.pop(nid, None)
         if g is None:
             continue
@@ -172,10 +185,9 @@ def backward(loss: Tensor) -> None:
                 t.grad = g.copy()
             else:
                 t.grad = t.grad + g
-        if t._backward is None:
+        if bwd is None:
             continue
-        parent_grads = t._backward(g)
-        for p, pg in zip(t.parents, parent_grads):
+        for p, pg in zip(parents, bwd(g)):
             if pg is None or not p.requires_grad:
                 continue
             if p.node_id in grads:
@@ -481,15 +493,20 @@ def channel_scale(x: Tensor, scale: np.ndarray) -> Tensor:
 
 def take(x: Tensor, index: np.ndarray, axis: int) -> Tensor:
     """The slices of x at the given positions along one axis (np.take).
-    The gradient scatters back into zeros at those positions."""
+    The gradient is g at those positions and zero elsewhere.
+
+    The gradient is gathered, not scattered: g gets a zero slice appended
+    along the axis, and every position outside index reads that slice. A
+    scatter along the last axis writes one value at a time."""
     index = np.asarray(index, dtype=np.intp)
-    where = (slice(None),) * axis + (index,)
     y = np.take(x.data, index, axis=axis)
+    source = np.full(x.shape[axis], len(index), dtype=np.intp)
+    source[index] = np.arange(len(index))
 
     def bwd(g: np.ndarray):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[where] = g
-        return (gx,)
+        pad = g.shape[:axis] + (1,) + g.shape[axis + 1:]
+        padded = np.concatenate([g, np.zeros(pad, dtype=g.dtype)], axis=axis)
+        return (np.take(padded, source, axis=axis),)
 
     return _make(y, "take", (x,), bwd)
 
@@ -570,11 +587,14 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     Every per-channel reduction sums the batch axis first and then each
     channel's H*W values. The variance is the biased mean of the squared
     centred input xc = x - mean, and y = xc * (gamma * inv_std) + beta
-    with inv_std = 1/sqrt(var + epsilon). Train mode keeps xc for the
-    backward; eval mode keeps nothing beyond x. The train backward needs
-    only the two reductions gbeta = sum(g) and ggamma = sum(g * xhat),
-    xhat = xc * inv_std:
+    with inv_std = 1/sqrt(var + epsilon). Neither mode keeps anything
+    beyond x and per-channel vectors for the backward. The train backward
+    needs only the two reductions gbeta = sum(g) and ggamma = sum(g *
+    xhat), xhat = xc * inv_std:
     gx = gamma * inv_std * (g - gbeta/m - xhat * ggamma/m), m = N*H*W.
+    It recentres x into its one full-size buffer twice, once for ggamma
+    and once for gx, rather than keep a centred copy of x alive until the
+    sweep reaches it.
     """
     channels = state.channels if index is None else len(index)
     if x.data.ndim != 4 or x.shape[1] != channels:
@@ -592,9 +612,8 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
 
     if mode == "train":
         mu = _channel_sum(x.data) / m
-        xc = x.data - _spread(mu, shape)
-        y = np.multiply(xc, xc)
-        var = _channel_sum(y) / m
+        y = x.data - _spread(mu, shape)
+        var = _channel_sum(np.multiply(y, y)) / m
         new_mean = (momentum * running_mean + (1.0 - momentum) * mu).astype(x.dtype)
         new_var = (momentum * running_var + (1.0 - momentum) * var).astype(x.dtype)
         if index is None:
@@ -604,21 +623,22 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
             state.running_var = _put(state.running_var, index, new_var)
     else:
         mu, var = running_mean, running_var
-        xc = None  # the eval backward recentres x itself
         y = np.subtract(x.data, _spread(mu, shape))
     inv_std = 1.0 / np.sqrt(var + epsilon)
     k = gamma.data * inv_std
-    np.multiply(y if xc is None else xc, _spread(k, shape), out=y)
+    y *= _spread(k, shape)
     y += _spread(beta.data, shape)
 
     def bwd_train(g: np.ndarray):
-        buf = np.multiply(g, xc)
+        buf = np.subtract(x.data, _spread(mu, shape))
+        buf *= g
         ggamma = _channel_sum(buf) * inv_std
         gbeta = _channel_sum(g)
         gx = None
         if x.requires_grad:
             # g - gbeta/m - xhat * ggamma/m, then times gamma * inv_std
-            np.multiply(xc, _spread(-inv_std * ggamma / m, shape), out=buf)
+            np.subtract(x.data, _spread(mu, shape), out=buf)
+            buf *= _spread(-inv_std * ggamma / m, shape)
             buf -= _spread(gbeta / m, shape)
             buf += g
             buf *= _spread(k, shape)

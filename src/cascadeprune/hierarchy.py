@@ -14,10 +14,10 @@ pruned keep receiving meaningful updates, since slot i+1 still runs it.
 
 One loop over the arch's compiled plan runs a slot in one of two forms:
 
-- Saving routing contexts (slots 1 and up in a joint step): every
-  activation at full width, each masked conv computing all filters and
-  masking them (masked_conv2d), so that score routing can read the
-  unmasked output.
+- Saving routing contexts (slots 1 and up in a joint step that steps
+  the scores): every activation at full width, each masked conv
+  computing all filters and masking them (masked_conv2d), so that score
+  routing can read the unmasked output.
 - Every other pass, train or eval, on the tape or not (the fine-tune
   student, slot 0 of a joint step, every slot of an intermediate epoch,
   evaluation, the frozen teacher): activations at their live channels
@@ -448,7 +448,8 @@ class ModelHierarchy:
 class _FullWidth:
     """Ops of a pass that saves routing contexts: every activation at full
     width, each masked conv computing all its filters and saving its
-    input, raw output and masked output (masked_conv2d)."""
+    input, raw output and masked output (masked_conv2d; under an all-ones
+    mask, as in the top slot, the raw output is the masked one)."""
 
     def __init__(self, mode: str):
         self.mode = mode

@@ -168,15 +168,17 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray,
 
     Returns (pre, out): the raw conv output and its masked version. The
     raw tensor is what the surrogate score gradient needs, so callers
-    that route scores keep both.
+    that route scores keep both. Under an all-ones mask the two are one
+    tensor: multiplying by ones would only copy the output.
     """
     mask = np.asarray(mask)
     if mask.ndim != 1 or mask.shape[0] != w.shape[3]:
         raise ShapeError(f"mask length {mask.shape} does not match "
                          f"{w.shape[3]} output filters")
     pre = conv2d(x, w, stride=stride, padding=padding)
-    out = channel_scale(pre, mask.astype(x.dtype))
-    return pre, out
+    if mask.all():
+        return pre, pre
+    return pre, channel_scale(pre, mask.astype(x.dtype))
 
 
 def surrogate_gamma_grad(dL_dY: np.ndarray, x: np.ndarray, w: np.ndarray,

@@ -240,18 +240,21 @@ class Trainer:
             | {p.name for p in self.h.slot_parameters(top)}
         for _ in range(epochs):
             for images, one_hot in self._epoch_batches():
-                fwd = self.h.forward_slot(top, images, mode="train")
-                loss = ad.softmax_cross_entropy(fwd.logits, one_hot)
-                ad.backward(loss)
-                lr = lr_at(self.schedule, self.state.step)
-                self.weight_opt.step(lr, include=names)
-                self.weight_opt.zero_grad()
-                self._emit(top, float(loss.data),
-                           {"task": float(loss.data), "kd": 0.0, "hint": 0.0},
-                           self._batch_accuracy(fwd.logits.data, one_hot), lr)
-                self.state.step += 1
+                self._pretrain_step(images, one_hot, top, names)
             self.state.epoch += 1
         self.h.freeze_teacher()
+
+    def _pretrain_step(self, images, one_hot, top: int, names: set) -> None:
+        fwd = self.h.forward_slot(top, images, mode="train")
+        loss = ad.softmax_cross_entropy(fwd.logits, one_hot)
+        ad.backward(loss)
+        lr = lr_at(self.schedule, self.state.step)
+        self.weight_opt.step(lr, include=names)
+        self.weight_opt.zero_grad()
+        self._emit(top, float(loss.data),
+                   {"task": float(loss.data), "kd": 0.0, "hint": 0.0},
+                   self._batch_accuracy(fwd.logits.data, one_hot), lr)
+        self.state.step += 1
 
     # -- joint and intermediate stages --------------------------------------
 
@@ -270,43 +273,49 @@ class Trainer:
         self.state.epoch += 1
 
     def _cascade_epoch(self, update_scores: bool) -> None:
+        for images, one_hot in self._epoch_batches():
+            self._cascade_step(images, one_hot, update_scores)
+
+    def _cascade_step(self, images, one_hot, update_scores: bool) -> None:
+        """One step of every slot. Its forwards are locals of this call,
+        so nothing of them outlives the step, and the frozen teacher's
+        no-grad forward runs before the graph is built."""
         h, cfg = self.h, self.cfg
         hint_ids = self._hint_ids()
         slots = len(h.slots)
-        for images, one_hot in self._epoch_batches():
-            # routing reads the contexts of slots 1 and up; slot 0 saves
-            # none and computes only its kept filters
-            forwards = h.forward_all(images, mode="train", hint_ids=hint_ids,
-                                     want_context=range(1, slots)
-                                     if update_scores else False)
-            frozen_fwd = None
-            if self._needs_teacher():
-                frozen_fwd = h.forward_frozen(images, hint_ids=hint_ids)
-            total = None
-            slot_records = []
-            for i in range(slots):
-                teacher = forwards[i + 1] if i + 1 < slots else frozen_fwd
-                t_logits = teacher.logits if teacher is not None else None
-                t_maps = self._maps(teacher) if teacher is not None else \
-                    self._maps(forwards[i])
-                loss, parts = slot_loss(forwards[i].logits, one_hot, t_logits,
-                                        self._maps(forwards[i]), t_maps,
-                                        cfg.distill)
-                total = loss if total is None else ad.add(total, loss)
-                acc = self._batch_accuracy(forwards[i].logits.data, one_hot)
-                slot_records.append((float(loss.data), parts, acc))
-            ad.backward(total)
-            lr = lr_at(self.schedule, self.state.step)
-            self.weight_opt.step(lr)
-            self.weight_opt.zero_grad()
-            if update_scores and cfg.score_lr > 0:
-                grads = h.route_gamma_gradients(forwards)
-                self.score_opt.step(
-                    {i: h.slots[i].scores for i in grads}, grads, cfg.score_lr)
-                h.refresh_masks()
-            for i, (loss_v, parts, acc) in enumerate(slot_records):
-                self._emit(i, loss_v, parts, acc, lr)
-            self.state.step += 1
+        route = update_scores and cfg.score_lr > 0
+        frozen_fwd = None
+        if self._needs_teacher():
+            frozen_fwd = h.forward_frozen(images, hint_ids=hint_ids)
+        # routing reads the contexts of slots 1 and up; a slot that saves
+        # none runs at its kept width
+        forwards = h.forward_all(images, mode="train", hint_ids=hint_ids,
+                                 want_context=range(1, slots) if route else False)
+        total = None
+        slot_records = []
+        for i in range(slots):
+            teacher = forwards[i + 1] if i + 1 < slots else frozen_fwd
+            t_logits = teacher.logits if teacher is not None else None
+            t_maps = self._maps(teacher) if teacher is not None else \
+                self._maps(forwards[i])
+            loss, parts = slot_loss(forwards[i].logits, one_hot, t_logits,
+                                    self._maps(forwards[i]), t_maps,
+                                    cfg.distill)
+            total = loss if total is None else ad.add(total, loss)
+            acc = self._batch_accuracy(forwards[i].logits.data, one_hot)
+            slot_records.append((float(loss.data), parts, acc))
+        ad.backward(total)
+        lr = lr_at(self.schedule, self.state.step)
+        self.weight_opt.step(lr)
+        self.weight_opt.zero_grad()
+        if route:
+            grads = h.route_gamma_gradients(forwards)
+            self.score_opt.step(
+                {i: h.slots[i].scores for i in grads}, grads, cfg.score_lr)
+            h.refresh_masks()
+        for i, (loss_v, parts, acc) in enumerate(slot_records):
+            self._emit(i, loss_v, parts, acc, lr)
+        self.state.step += 1
 
     # -- student fine-tuning -------------------------------------------------
 
@@ -325,32 +334,37 @@ class Trainer:
         masks and scores stay fixed, and only student-reachable
         parameters (shared kernels, slot-0 stem/BN/heads) move."""
         self._enter_stage("student_finetune")
-        h, cfg = self.h, self.cfg
+        h = self.h
         if self.state.teacher_index >= len(h.slots) and h.frozen is None:
             raise TrainingError("teacher index points at the frozen model "
                                 "but none exists")
-        hint_ids = self._hint_ids()
         names = {p.name for p in h.shared_parameters()} \
             | {p.name for p in h.slot_parameters(0)}
         for images, one_hot in self._epoch_batches():
-            fwd = h.forward_slot(0, images, mode="train", hint_ids=hint_ids)
-            if self._needs_teacher():
-                t_logits, t_maps = self._teacher_logits_and_maps(images,
-                                                                 hint_ids)
-            else:
-                t_logits, t_maps = None, self._maps(fwd)
-            loss, parts = slot_loss(fwd.logits, one_hot, t_logits,
-                                    self._maps(fwd), t_maps, cfg.distill)
-            ad.backward(loss)
-            lr = lr_at(self.schedule, self.state.step)
-            self.weight_opt.step(lr, include=names)
-            self.weight_opt.zero_grad()
-            self._emit(0, float(loss.data), parts,
-                       self._batch_accuracy(fwd.logits.data, one_hot), lr)
-            self.state.step += 1
+            self._finetune_step(images, one_hot, names)
         self.state.epoch += 1
         if self.val_data is not None:
             self._promote_if_due()
+
+    def _finetune_step(self, images, one_hot, names: set) -> None:
+        """One student step; the teacher's no-grad forward runs before
+        the student's graph is built."""
+        hint_ids = self._hint_ids()
+        t_logits = t_maps = None
+        if self._needs_teacher():
+            t_logits, t_maps = self._teacher_logits_and_maps(images, hint_ids)
+        fwd = self.h.forward_slot(0, images, mode="train", hint_ids=hint_ids)
+        if t_maps is None:
+            t_maps = self._maps(fwd)
+        loss, parts = slot_loss(fwd.logits, one_hot, t_logits,
+                                self._maps(fwd), t_maps, self.cfg.distill)
+        ad.backward(loss)
+        lr = lr_at(self.schedule, self.state.step)
+        self.weight_opt.step(lr, include=names)
+        self.weight_opt.zero_grad()
+        self._emit(0, float(loss.data), parts,
+                   self._batch_accuracy(fwd.logits.data, one_hot), lr)
+        self.state.step += 1
 
     def _promote_if_due(self) -> None:
         student_acc = evaluate(self.h, 0, self.val_data,

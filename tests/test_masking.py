@@ -211,6 +211,33 @@ class TestMaskedConv:
         np.testing.assert_array_equal(out.data[:, 2], pre.data[:, 2])
         assert out.parents[0] is pre
 
+    def test_all_ones_mask_returns_the_raw_output_itself(self):
+        """An all-ones mask adds no copy: out is pre, and its retained
+        grad equals that of the raw output scaled by ones."""
+        rng = np.random.default_rng(94)
+        x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+        labels = np.eye(4, dtype=np.float32)[[1, 3]]
+
+        def loss_grad(masked):
+            w_t = ad.Tensor(w, requires_grad=True)
+            pre, out = masked(ad.Tensor(x), w_t)
+            out.retain_grad()
+            ad.backward(ad.softmax_cross_entropy(ad.global_avg_pool(out), labels))
+            return pre, out, w_t.grad
+
+        def scaled_by_ones(x_t, w_t):
+            pre = ad.conv2d(x_t, w_t)
+            return pre, ad.channel_scale(pre, np.ones(4, dtype=np.float32))
+
+        pre, out, gw = loss_grad(lambda x_t, w_t: masked_conv2d(
+            x_t, w_t, np.ones(4, dtype=bool)))
+        assert out is pre
+        _, ref_out, ref_gw = loss_grad(scaled_by_ones)
+        assert np.array_equal(out.data, ref_out.data)
+        assert np.array_equal(out.grad, ref_out.grad)
+        assert np.array_equal(gw, ref_gw)
+
     def test_mask_length_checked(self):
         x = ad.Tensor(np.zeros((1, 2, 4, 4)))
         w = ad.Tensor(np.zeros((3, 3, 2, 4)))

@@ -445,8 +445,31 @@ def assert_f32_c_order(*arrays):
 
 def op_grads(y, g):
     """The gradients y's op hands its parents, before the backward sweep
-    copies them into leaves."""
+    copies them into leaves. Call it before the sweep, which drops the
+    op's closure."""
     return [pg for pg in y._backward(g) if pg is not None]
+
+
+class TestTake:
+    CASES = [((3, 3, 5, 7), 3, [0, 2, 3, 6]), ((3, 3, 5, 7), 3, []),
+             ((3, 3, 5, 7), 3, list(range(7))), ((3, 3, 5, 7), 2, [1, 4]),
+             ((4, 6), 1, [5]), ((6,), 0, [0, 3, 4])]
+
+    @pytest.mark.parametrize("shape,axis,index", CASES)
+    def test_gradient_scatters_into_zeros(self, shape, axis, index):
+        """The gradient is g at the taken positions and exactly +0.0
+        everywhere else, along the last axis too, in g's dtype."""
+        rng = np.random.default_rng(35)
+        x = ad.Tensor(rng.standard_normal(shape).astype(np.float32),
+                      requires_grad=True)
+        index = np.array(index, dtype=np.intp)
+        y = ad.take(x, index, axis)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        backward_of(y, g)
+        want = np.zeros(shape, dtype=np.float32)
+        want[(slice(None),) * axis + (index,)] = g
+        assert_f32_c_order(y.data, x.grad)
+        assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
 
 
 class TestBatchNormKernel:
@@ -480,9 +503,10 @@ class TestBatchNormKernel:
         want = oracles.batch_norm_vjp_loops(*args, g.astype(np.float64), **stats)
         x = ad.Tensor(x0, requires_grad=True)
         y = ad.batch_norm(x, bn, mode=mode)
+        handed = op_grads(y, g)
         backward_of(y, g)
         got = (x.grad, bn.gamma.grad, bn.beta.grad)
-        assert_f32_c_order(y.data, *got, *op_grads(y, g))
+        assert_f32_c_order(y.data, *got, *handed)
         np.testing.assert_allclose(y.data, want_y, rtol=1e-5, atol=1e-5)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-4,
@@ -503,6 +527,23 @@ class TestBatchNormKernel:
             assert (bn.gamma.value.grad is None) == (not trainable)
             grads.append(x.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_train_forward_keeps_nothing_beyond_x(self):
+        """After a train-mode forward the only full-size array left
+        allocated is the output: the graph holds x and per-channel
+        vectors for the backward, no centred copy of x."""
+        rng = np.random.default_rng(40)
+        x = ad.Tensor(rng.standard_normal((8, 16, 16, 16)).astype(np.float32),
+                      requires_grad=True)
+        bn = ad.BatchNormState("bn", 16)
+        tracemalloc.start()
+        try:
+            y = ad.batch_norm(x, bn, mode="train")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.op == "batch_norm"
+        assert held < 1.2 * y.data.nbytes, f"{held / y.data.nbytes:.2f}x the output"
 
     def test_train_backward_memory_bound(self):
         """The backward works in one full-size buffer: its peak allocation
@@ -540,8 +581,9 @@ class TestMaxPoolKernel:
         x = ad.Tensor(x0, requires_grad=True)
         y = ad.max_pool(x, k, stride, pad)
         g = rng.standard_normal(y.shape).astype(np.float32)
+        handed = op_grads(y, g)
         backward_of(y, g)
-        assert_f32_c_order(y.data, x.grad, *op_grads(y, g))
+        assert_f32_c_order(y.data, x.grad, *handed)
         x64 = x0.astype(np.float64)
         assert np.array_equal(y.data, oracles.max_pool_loops(x64, k, stride, pad))
         np.testing.assert_allclose(
@@ -622,8 +664,9 @@ class TestReluSemantics:
         x = ad.Tensor(x0, requires_grad=True)
         y = ad.relu(x)
         g = np.full(x0.shape, 3.0, dtype=np.float32)
+        handed = op_grads(y, g)
         backward_of(y, g)
-        assert_f32_c_order(y.data, x.grad, *op_grads(y, g))
+        assert_f32_c_order(y.data, x.grad, *handed)
         assert np.array_equal(y.data, [[0.0, 0.0, 0.0, 0.0, 1.5, np.inf, 0.0]])
         assert not np.signbit(y.data).any()
         assert np.array_equal(x.grad, [[0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0]])
@@ -762,6 +805,40 @@ class TestGraphMechanics:
         ad.backward(ad.tensor_sum(ad.square(t)))
         ad.backward(ad.tensor_sum(ad.square(t)))
         np.testing.assert_array_equal(t.grad, [12.0])
+
+    def test_backward_frees_the_tape(self):
+        """Once swept, every interior node holds no closure and no parents,
+        whether or not a gradient reached it; every tensor keeps its data,
+        and leaves and retained tensors keep their grad."""
+        t = ad.Tensor(np.array([1.0, -2.0]), dtype="f64", requires_grad=True)
+        mid = ad.scale(t, 3.0)
+        kept = ad.relu(t).retain_grad()
+        cut = ad.square(t)
+        blocked = ad._make(cut.data, "blocked", (cut,), lambda g: (None,))
+        loss = ad.tensor_sum(ad.add(ad.add(ad.square(mid), kept), blocked))
+        interior = (mid, kept, cut, blocked, loss)
+        data = [n.data.copy() for n in interior]
+        ad.backward(loss)
+        for n, d in zip(interior, data):
+            assert n._backward is None and n.parents == (), n.op
+            assert np.array_equal(n.data, d), n.op
+        assert cut.grad is None and mid.grad is None
+        np.testing.assert_array_equal(kept.grad, [1.0, 1.0])
+        # d/dt (9 t^2 + relu(t)) = 18 t + (t > 0)
+        np.testing.assert_array_equal(t.grad, [19.0, -36.0])
+
+    def test_a_graph_is_swept_once(self):
+        """A later backward that reaches a swept interior node raises,
+        naming its op, before it touches any gradient."""
+        t = ad.Tensor(np.array([3.0]), dtype="f64", requires_grad=True)
+        y = ad.square(t)
+        loss = ad.tensor_sum(y)
+        ad.backward(loss)
+        with pytest.raises(ad.AutodiffError, match="sum"):
+            ad.backward(loss)
+        with pytest.raises(ad.AutodiffError, match="square"):
+            ad.backward(ad.tensor_sum(ad.scale(y, 2.0)))
+        np.testing.assert_array_equal(t.grad, [6.0])
 
     def test_interior_grad_requires_retain(self):
         t = ad.Tensor(np.ones(3), dtype="f64", requires_grad=True)

@@ -8,6 +8,7 @@ distillation weights degenerates to plain supervised training.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,97 @@ class TestSupervisedEquivalence:
         trainer = Trainer(h, data, quiet_config(batch_size=8))
         trainer.run_joint(1)
         assert len(trainer.metrics.rows) == math.ceil(20 / 8) * 3
+
+
+WIDE = """
+input c=3 h=16 w=16
+conv k=3 in=3 out=16 maskable=false
+bn
+relu
+conv k=3 in=16 out=32
+bn
+relu
+conv k=3 in=32 out=32
+bn
+relu
+pool kind=gap
+classifier in=32 out=4
+"""
+
+
+class TestStepMemory:
+    """What a step leaves behind for the next one, and which forwards it
+    runs in what order."""
+
+    @staticmethod
+    def _trainer(batches, **kw):
+        h = ModelHierarchy(parse_arch(WIDE, name="wide"), (0.5, 0.75, 1.0))
+        h.freeze_teacher()
+        data = synthetic_dataset(0, 16 * batches, classes=4, size=16, channels=3)
+        return h, Trainer(h, data, quiet_config(batch_size=16, **kw))
+
+    def test_a_batch_carries_nothing_into_the_next(self):
+        """A 3-batch joint epoch peaks within 10% of a 1-batch one: each
+        step's graph, forwards and saved contexts are gone before the next
+        batch's forward runs."""
+        peaks = []
+        for n in (1, 3):
+            _, trainer = self._trainer(n)
+            tracemalloc.start()
+            try:
+                trainer.joint_epoch()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 1.1 * peaks[0], f"peaks {peaks}"
+
+    @pytest.mark.parametrize("score_lr,routed", [(0.5, True), (0.0, False)])
+    def test_contexts_are_saved_only_for_score_routing(self, monkeypatch,
+                                                       score_lr, routed):
+        """With score_lr 0 a joint step saves no routing context, so every
+        slot runs at its kept width, and routing never runs."""
+        saved, routes = [], []
+        forward_all = ModelHierarchy.forward_all
+        route = ModelHierarchy.route_gamma_gradients
+
+        def counting_forward_all(self, *a, **kw):
+            fws = forward_all(self, *a, **kw)
+            saved.append([len(fw.contexts) for fw in fws])
+            return fws
+
+        def counting_route(self, forwards):
+            routes.append(len(forwards))
+            return route(self, forwards)
+
+        monkeypatch.setattr(ModelHierarchy, "forward_all", counting_forward_all)
+        monkeypatch.setattr(ModelHierarchy, "route_gamma_gradients", counting_route)
+        _, trainer = self._trainer(2, score_lr=score_lr)
+        trainer.joint_epoch()
+        assert saved == ([[0, 2, 2]] if routed else [[0, 0, 0]]) * 2
+        assert routes == ([3] if routed else []) * 2
+
+    def test_teacher_forwards_run_before_the_graph(self, monkeypatch):
+        """The no-grad teacher forward of a step runs before the forwards
+        that build its graph, so its buffers are freed before the graph
+        grows."""
+        calls = []
+        for name in ("forward_all", "forward_slot", "forward_frozen"):
+            original = getattr(ModelHierarchy, name)
+
+            def logged(self, *a, _name=name, _original=original, **kw):
+                calls.append(_name if _name != "forward_slot" else a[0])
+                return _original(self, *a, **kw)
+
+            monkeypatch.setattr(ModelHierarchy, name, logged)
+        h, trainer = self._trainer(1)
+        trainer.joint_epoch()
+        assert calls == ["forward_frozen", "forward_all"]
+        for teacher in (1, len(h.slots)):
+            calls.clear()
+            trainer.state.teacher_index = teacher
+            trainer.finetune_epoch()
+            assert calls == [1 if teacher == 1 else "forward_frozen", 0]
 
 
 class TestFinetune:
