@@ -5,11 +5,21 @@ Tensors wrap a numpy array and record the operation that produced them.
 a topological order, since an op can only consume already-built tensors)
 and accumulates gradients into leaves.
 
+The tape is made of nodes, not tensors. A tensor that requires grad
+owns a Node: its op, its backward closure and its parents' nodes, plus a
+weak reference back to the tensor for leaves and tensors that retain
+their grad. A child therefore keeps its parents' nodes alive but not
+their data: an activation's data lives only while a backward closure or
+a caller holds it (a batch-norm output that feeds a relu is freed once
+the relu has run, because relu's backward reads its own output). A
+closure keeps only the arrays its backward reads, and the shape where
+that is all it needs.
+
 A graph is swept once. As the sweep passes a node, it drops the node's
 backward closure and parents, so what the closure saved for the backward
-is freed as soon as nothing below needs it. Every tensor keeps its data,
-and leaves and retained tensors keep their grad; a later backward that
-reaches a swept interior node raises AutodiffError.
+is freed as soon as nothing below needs it. Leaves and retained tensors
+that are still alive get their grad; a later backward that reaches a
+swept interior node raises AutodiffError.
 
 Layout conventions, fixed across the whole package:
   activations  (N, C, H, W)
@@ -22,6 +32,7 @@ No layer carries a bias term.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -70,16 +81,35 @@ def _as_dtype(dtype) -> np.dtype:
     return d
 
 
-class Tensor:
-    """A dense n-dimensional array plus its position in the autodiff graph.
+Backward = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
 
-    Leaf tensors have no parents. Non-leaf tensors hold a backward closure
-    that maps the output gradient to per-parent gradients. Data arrays are
-    treated as immutable once the tensor participates in a graph.
+
+class Node:
+    """One tensor's place in the graph: its op, the backward closure that
+    maps its output gradient to per-parent gradients, and its parents'
+    nodes (None for a parent that needs no gradient). Leaves have no
+    parents and no closure. tensor is a weak reference to the tensor
+    whose grad a backward fills in: set for leaves and for tensors that
+    call retain_grad, None otherwise."""
+
+    __slots__ = ("node_id", "op", "parents", "backward", "tensor")
+
+    def __init__(self, op: str, parents: tuple[Optional["Node"], ...] = (),
+                 backward: Optional[Backward] = None, tensor=None):
+        self.node_id = _next_node_id()
+        self.op = op
+        self.parents = parents
+        self.backward = backward
+        self.tensor = tensor
+
+
+class Tensor:
+    """A dense n-dimensional array plus, if it requires grad, its node in
+    the autodiff graph. Data arrays are treated as immutable once the
+    tensor participates in a graph.
     """
 
-    __slots__ = ("data", "node_id", "op", "parents", "requires_grad",
-                 "retains_grad", "grad", "_backward")
+    __slots__ = ("data", "grad", "node", "__weakref__")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -88,14 +118,27 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
-        self.node_id = _next_node_id()
-        self.op = "leaf"
-        self.parents: tuple[Tensor, ...] = ()
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        # leaves keep their grad by default; interior nodes opt in via retain_grad
-        self.retains_grad = True
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
+        self.node: Optional[Node] = None
+        self.requires_grad = bool(requires_grad) and _grad_enabled
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether the tensor has a node in the graph. Setting it True
+        makes the tensor a leaf, which keeps its grad; setting it False
+        cuts the tensor from the graph."""
+        return self.node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self.node = None
+        elif self.node is None:
+            self.node = Node("leaf", tensor=weakref.ref(self))
+
+    @property
+    def op(self) -> str:
+        return "leaf" if self.node is None else self.node.op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,7 +162,9 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def retain_grad(self) -> "Tensor":
-        self.retains_grad = True
+        """Keep the gradient a backward computes for this interior tensor."""
+        if self.node is not None:
+            self.node.tensor = weakref.ref(self)
         return self
 
     def __repr__(self) -> str:
@@ -127,14 +172,13 @@ class Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
+          backward: Backward) -> Tensor:
+    """The output tensor of an op. It gets a node when grad is enabled and
+    some parent requires grad; the closure must not hold the parents
+    themselves, only the arrays and shapes its backward reads."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.op = op
-        out.parents = parents
-        out.requires_grad = True
-        out.retains_grad = False
-        out._backward = backward
+    if _grad_enabled and any(p.node is not None for p in parents):
+        out.node = Node(op, tuple(p.node for p in parents), backward)
     return out
 
 
@@ -148,47 +192,45 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Gradients are accumulated (+=) into ``grad`` of every reachable leaf
-    and of interior nodes that called ``retain_grad``. Contributions from
-    multiple paths are summed. Every reachable interior node is swept,
-    whether or not a gradient reached it: its closure and parents are
-    dropped once it has passed its gradient on.
+    and of interior tensors that called ``retain_grad``, while they are
+    alive. Contributions from multiple paths are summed. Every reachable
+    interior node is swept, whether or not a gradient reached it: its
+    closure and parents are dropped once it has passed its gradient on.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if loss.node is None:
+        return
 
     # Collect the reachable subgraph; reverse creation order is a valid
     # reverse topological order because parents predate their children.
-    nodes: dict[int, Tensor] = {}
-    stack = [loss]
+    nodes: dict[int, Node] = {}
+    stack = [loss.node]
     while stack:
-        t = stack.pop()
-        if t.node_id in nodes:
+        n = stack.pop()
+        if n.node_id in nodes:
             continue
-        if t.op != "leaf" and t._backward is None:
-            raise AutodiffError(f"the {t.op} node was swept by an earlier "
+        if n.op != "leaf" and n.backward is None:
+            raise AutodiffError(f"the {n.op} node was swept by an earlier "
                                 "backward; a graph can be swept only once")
-        nodes[t.node_id] = t
-        for p in t.parents:
-            if p.requires_grad:
-                stack.append(p)
+        nodes[n.node_id] = n
+        stack.extend(p for p in n.parents if p is not None)
 
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss.node.node_id: np.ones_like(loss.data)}
     for nid in sorted(nodes, reverse=True):
-        t = nodes.pop(nid)
-        bwd, parents = t._backward, t.parents
-        t._backward, t.parents = None, ()
+        n = nodes.pop(nid)
+        bwd, parents = n.backward, n.parents
+        n.backward, n.parents = None, ()
         g = grads.pop(nid, None)
         if g is None:
             continue
-        if t.retains_grad:
-            if t.grad is None:
-                t.grad = g.copy()
-            else:
-                t.grad = t.grad + g
+        t = n.tensor() if n.tensor is not None else None
+        if t is not None:
+            t.grad = g.copy() if t.grad is None else t.grad + g
         if bwd is None:
             continue
         for p, pg in zip(parents, bwd(g)):
-            if pg is None or not p.requires_grad:
+            if pg is None or p is None:
                 continue
             if p.node_id in grads:
                 grads[p.node_id] = grads[p.node_id] + pg
@@ -325,6 +367,35 @@ def _scatter_patches(gcols: np.ndarray, x_shape: tuple, k: int, stride: int,
     return np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + w].transpose(0, 3, 1, 2))
 
 
+def _kernel_grad(x: np.ndarray, rows: np.ndarray, k: int, stride: int,
+                 pads: tuple, ho: int, wo: int) -> np.ndarray:
+    """The kernel gradient of a conv, (K,K,Cin,Cout), from its input x
+    (N,C,H,W) and its output gradient as rows (N*Ho*Wo, Cout): one GEMM,
+    patches^T @ rows, with the patch matrix rebuilt from x."""
+    cols = _patches(_channels_last_padded(x, pads, x.dtype), k, stride, ho, wo)
+    return (cols.T @ rows).reshape(k, k, x.shape[1], rows.shape[1])
+
+
+def _grad_rows(g: np.ndarray) -> np.ndarray:
+    """An (N,C,Ho,Wo) output gradient as contiguous (N*Ho*Wo, C) rows."""
+    n, c, ho, wo = g.shape
+    return np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c)
+
+
+def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray, w_shape: tuple,
+                       stride: int = 1, padding: str = "same") -> np.ndarray:
+    """dL/dw of conv2d(x, w) for the output gradient g: the same GEMM as
+    the conv backward and the masked conv's kept kernel gradient, so all
+    three agree bitwise on identical inputs."""
+    n, _, h, wd = x.shape
+    k = w_shape[0]
+    pads, ho, wo = _conv_geometry(h, wd, k, stride, padding)
+    if g.shape != (n, w_shape[3], ho, wo):
+        raise ShapeError(f"upstream gradient shape {g.shape} does not match "
+                         f"conv output {(n, w_shape[3], ho, wo)}")
+    return _kernel_grad(x, _grad_rows(g), k, stride, pads, ho, wo)
+
+
 def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
                padding: str = "same") -> np.ndarray:
     """Plain-array cross-correlation; the single kernel behind every conv
@@ -336,8 +407,7 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     kernel reshaped to (K*K*Cin, Cout). The result is transposed back to
     NCHW, C-contiguous, in the operands' common dtype.
 
-    Both the graph op and the surrogate score gradient call this function,
-    so their values agree bitwise on identical inputs.
+    Every conv op calls this function by its module-level name.
     """
     n, c, h, wd = x.shape
     kh, kw, cin, cout = w.shape
@@ -352,35 +422,101 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
 
 
+def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
+                     stride: int, pads: tuple, ho: int, wo: int) -> np.ndarray:
+    """The input gradient of a conv: rows @ W^T scattered back tap by tap."""
+    k, _, cin, cout = w.shape
+    return _scatter_patches(rows @ w.reshape(k * k * cin, cout).T, x_shape, k,
+                            stride, pads, ho, wo)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D cross-correlation, no bias. x: (N,C,H,W), w: (K,K,C_in,C_out).
 
     The backward is one GEMM per operand on the output gradient as rows
     (N*Ho*Wo, Cout): gw = patches^T @ rows, with the patch matrix rebuilt
     rather than kept from the forward, and gx = rows @ W^T scattered back
-    tap by tap.
+    tap by tap. The closure keeps x's data only if w needs a gradient, and
+    w's only if x does.
     """
     _check_same_dtype(x, w)
-    n, c, h, wd = x.shape
-    kh, kw_, cin, cout = w.shape
+    _, _, h, wd = x.shape
+    k = w.shape[0]
     y = conv2d_raw(x.data, w.data, stride, padding)
-    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    pads, ho, wo = _conv_geometry(h, wd, k, stride, padding)
+    x_shape = x.shape
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
 
     def bwd(g: np.ndarray):
         gx = gw = None
-        rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        rows = rows.reshape(n * ho * wo, cout)
-        if w.requires_grad:
-            cols = _patches(_channels_last_padded(x.data, pads, x.dtype),
-                            kh, stride, ho, wo)
-            gw = (cols.T @ rows).reshape(w.shape)
-            del cols  # before the input gradient's equally large buffer
-        if x.requires_grad:
-            wmat = w.data.reshape(kh * kh * cin, cout)
-            gx = _scatter_patches(rows @ wmat.T, x.shape, kh, stride, pads, ho, wo)
+        rows = _grad_rows(g)
+        if x_data is not None:
+            gw = _kernel_grad(x_data, rows, k, stride, pads, ho, wo)
+        if w_data is not None:
+            gx = _conv_input_grad(rows, w_data, x_shape, stride, pads, ho, wo)
         return gx, gw
 
     return _make(y, "conv2d", (x, w), bwd)
+
+
+class KernelGrad:
+    """Where masked_conv2d's backward leaves the kernel gradient of its
+    unmasked output gradient; value is None until a backward reaches it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value: Optional[np.ndarray] = None
+
+
+def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray, stride: int = 1,
+                  padding: str = "same") -> tuple[Tensor, KernelGrad]:
+    """conv2d(x, w) with the output channels that mask disables multiplied
+    by zero, as one op. Returns the output and the KernelGrad its
+    backward fills in.
+
+    The backward runs the kernel-gradient GEMM of conv2d on the *unmasked*
+    output gradient g and keeps the result G (K,K,Cin,Cout) in the
+    KernelGrad. sum over (kh, kw, cin) of w * G is then, for any kernel w,
+    the straight-through gradient of a per-channel multiplier on
+    conv2d(x, w) (see masking.surrogate_gamma_grad). The weight gradient
+    is G with the pruned columns set to +0.0, the input gradient is that
+    of the masked output gradient: both are those of conv2d followed by a
+    channelwise multiply by the 0/1 mask. Under an all-ones mask the
+    output is the conv's own and G is the weight gradient itself.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 1 or mask.shape[0] != w.shape[3]:
+        raise ShapeError(f"mask length {mask.shape} does not match "
+                         f"{w.shape[3]} output filters")
+    _check_same_dtype(x, w)
+    _, _, h, wd = x.shape
+    k = w.shape[0]
+    y = conv2d_raw(x.data, w.data, stride, padding)
+    pads, ho, wo = _conv_geometry(h, wd, k, stride, padding)
+    pruned = not mask.all()
+    scale = mask.astype(x.dtype)
+    if pruned:
+        y *= scale.reshape(1, -1, 1, 1)
+    x_shape, x_data = x.shape, x.data
+    w_data = w.data if x.requires_grad else None
+    need_w = w.requires_grad
+    kernel_grad = KernelGrad()
+
+    def bwd(g: np.ndarray):
+        gx = gw = None
+        rows = _grad_rows(g)
+        kg = kernel_grad.value = _kernel_grad(x_data, rows, k, stride, pads, ho, wo)
+        if need_w:
+            gw = np.where(mask, kg, kg.dtype.type(0)) if pruned else kg
+        if w_data is not None:
+            if pruned:
+                rows = rows * scale  # rows may be a view of g
+            gx = _conv_input_grad(rows, w_data, x_shape, stride, pads, ho, wo)
+        return gx, gw
+
+    return _make(y, "masked_conv2d", (x, w), bwd), kernel_grad
 
 
 def _dw_forward(xp: np.ndarray, w: np.ndarray, stride: int,
@@ -460,35 +596,23 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
     y = depthwise_conv2d_raw(x.data, w.data, stride, padding)
     pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
     pt, pb, pl, pr = pads
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
 
     def bwd(g: np.ndarray):
         gx = gw = None
         gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        if w.requires_grad:
-            gw = _dw_kernel_grad(_channels_last_padded(x.data, pads, x.dtype),
+        if x_data is not None:
+            gw = _dw_kernel_grad(_channels_last_padded(x_data, pads, x_data.dtype),
                                  gt, kh, stride)
-        if x.requires_grad:
-            gxp = _dw_input_grad(gt, w.data, (n, h + pt + pb, wd + pl + pr, c),
+        if w_data is not None:
+            gxp = _dw_input_grad(gt, w_data, (n, h + pt + pb, wd + pl + pr, c),
                                  stride)
             gx = np.ascontiguousarray(
                 gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2))
         return gx, gw
 
     return _make(y, "depthwise_conv2d", (x, w), bwd)
-
-
-def channel_scale(x: Tensor, scale: np.ndarray) -> Tensor:
-    """Multiply each output channel by a constant factor (mask application)."""
-    scale = np.asarray(scale, dtype=x.dtype)
-    if scale.ndim != 1 or scale.shape[0] != x.shape[1]:
-        raise ShapeError(f"scale length {scale.shape} does not match {x.shape[1]} channels")
-    s = scale.reshape(1, -1, 1, 1)
-    y = x.data * s
-
-    def bwd(g: np.ndarray):
-        return (g * s,)
-
-    return _make(y, "channel_scale", (x,), bwd)
 
 
 def take(x: Tensor, index: np.ndarray, axis: int) -> Tensor:
@@ -536,10 +660,12 @@ def dense(x: Tensor, w: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense shapes do not chain: {x.shape} @ {w.shape}")
     y = x.data @ w.data
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
 
     def bwd(g: np.ndarray):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
+        gx = g @ w_data.T if w_data is not None else None
+        gw = x_data.T @ g if x_data is not None else None
         return gx, gw
 
     return _make(y, "dense", (x, w), bwd)
@@ -628,33 +754,36 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     k = gamma.data * inv_std
     y *= _spread(k, shape)
     y += _spread(beta.data, shape)
+    x_data = x.data
+    need_x, need_gamma, need_beta = (x.requires_grad, gamma.requires_grad,
+                                     beta.requires_grad)
 
     def bwd_train(g: np.ndarray):
-        buf = np.subtract(x.data, _spread(mu, shape))
+        buf = np.subtract(x_data, _spread(mu, shape))
         buf *= g
         ggamma = _channel_sum(buf) * inv_std
         gbeta = _channel_sum(g)
         gx = None
-        if x.requires_grad:
+        if need_x:
             # g - gbeta/m - xhat * ggamma/m, then times gamma * inv_std
-            np.subtract(x.data, _spread(mu, shape), out=buf)
+            np.subtract(x_data, _spread(mu, shape), out=buf)
             buf *= _spread(-inv_std * ggamma / m, shape)
             buf -= _spread(gbeta / m, shape)
             buf += g
             buf *= _spread(k, shape)
             gx = buf
-        return (gx, ggamma if gamma.requires_grad else None,
-                gbeta if beta.requires_grad else None)
+        return (gx, ggamma if need_gamma else None,
+                gbeta if need_beta else None)
 
     def bwd_eval(g: np.ndarray):
         ggamma = gbeta = gx = None
-        if gamma.requires_grad:
-            buf = np.subtract(x.data, _spread(mu, shape))
+        if need_gamma:
+            buf = np.subtract(x_data, _spread(mu, shape))
             buf *= g
             ggamma = _channel_sum(buf) * inv_std
-        if beta.requires_grad:
+        if need_beta:
             gbeta = _channel_sum(g)
-        if x.requires_grad:
+        if need_x:
             gx = np.multiply(g, _spread(k, shape))
         return gx, ggamma, gbeta
 
@@ -765,20 +894,22 @@ def max_pool(x: Tensor, k: int, stride: int, padding: str = "valid") -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial axes: (N,C,H,W) -> (N,C)."""
-    n, c, h, w = x.shape
+    shape = x.shape
+    hw = shape[2] * shape[3]
     y = x.data.mean(axis=(2, 3))
 
     def bwd(g: np.ndarray):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / hw, shape).copy(),)
 
     return _make(y, "global_avg_pool", (x,), bwd)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     y = x.data.reshape(shape)
+    x_shape = x.shape
 
     def bwd(g: np.ndarray):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _make(y, "reshape", (x,), bwd)
 
@@ -800,12 +931,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape and not rows:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     y = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
-    def grad_for(t: Tensor, g: np.ndarray) -> np.ndarray:
-        return g if t.shape == g.shape else g.sum(axis=0, keepdims=True)
+    def grad_for(shape: tuple, g: np.ndarray) -> np.ndarray:
+        return g if shape == g.shape else g.sum(axis=0, keepdims=True)
 
     def bwd(g: np.ndarray):
-        return grad_for(a, g), grad_for(b, g)
+        return grad_for(a_shape, g), grad_for(b_shape, g)
 
     return _make(y, "add", (a, b), bwd)
 
@@ -839,10 +971,11 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def square(x: Tensor) -> Tensor:
-    y = x.data * x.data
+    x_data = x.data
+    y = x_data * x_data
 
     def bwd(g: np.ndarray):
-        return (2.0 * x.data * g,)
+        return (2.0 * x_data * g,)
 
     return _make(y, "square", (x,), bwd)
 
@@ -850,9 +983,10 @@ def square(x: Tensor) -> Tensor:
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     y = np.asarray(x.data.sum(), dtype=x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g: np.ndarray):
-        return (np.full(x.shape, g, dtype=x.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _make(y, "sum", (x,), bwd)
 

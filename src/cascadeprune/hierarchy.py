@@ -7,17 +7,21 @@ smallest (the student); the last slot runs unmasked at ratio 1.0; a
 frozen copy of the unmasked model acts as the last slot's teacher.
 
 Score gradients are routed one step down the cascade: slot i's scores
-are updated from slot i+1's saved forward context (its loss gradient at
-each masked conv output, its input activations, and the shared kernel),
-never from slot i's own pass. That is what lets a filter that slot i has
-pruned keep receiving meaningful updates, since slot i+1 still runs it.
+are updated from slot i+1's saved forward context, never from slot i's
+own pass. That is what lets a filter that slot i has pruned keep
+receiving meaningful updates, since slot i+1 still runs it. Each masked
+conv of slot i+1 is one op (autodiff.masked_conv2d) whose backward keeps
+the kernel gradient G of its unmasked output gradient; routing contracts
+G with the shared kernel, which is the straight-through reduction over
+the saved input and output gradient without rerunning the conv.
 
 One loop over the arch's compiled plan runs a slot in one of two forms:
 
 - Saving routing contexts (slots 1 and up in a joint step that steps
   the scores): every activation at full width, each masked conv
-  computing all filters and masking them (masked_conv2d), so that score
-  routing can read the unmasked output.
+  computing all filters and masking them in one op
+  (autodiff.masked_conv2d), whose backward keeps what score routing
+  reads.
 - Every other pass, train or eval, on the tape or not (the fine-tune
   student, slot 0 of a joint step, every slot of an intermediate epoch,
   evaluation, the frozen teacher): activations at their live channels
@@ -41,7 +45,9 @@ from . import autodiff as ad
 from .arch import ArchSpec, ConvL, DWConvL, PoolL
 from .autodiff import BatchNormState, Parameter, Tensor
 from .masking import (FilterMask, ImportanceScores, PruneConfig, build_mask,
-                      masked_conv2d, surrogate_gamma_grad)
+                      contract_kernel_grad)
+# not called here: bench/tracing.py wraps this name (ROADMAP item 5 drops it)
+from .masking import surrogate_gamma_grad  # noqa: F401
 
 
 class HierarchyError(RuntimeError):
@@ -107,14 +113,17 @@ class ModelSlot:
 
 @dataclass
 class LayerContext:
-    """Saved forward quantities of one masked conv in one slot's pass."""
+    """Saved forward quantities of one masked conv in one slot's pass.
+    Routing reads kernel_grad and weight; x and out's gradient are the
+    operands of the straight-through reduction that kernel_grad
+    contracts, kept so that it can be checked independently."""
     layer_id: int
     x: Tensor           # layer input
-    pre: Tensor         # raw conv output, before the mask
     out: Tensor         # masked output; retains its loss gradient
     weight: Parameter
     stride: int
     padding: str
+    kernel_grad: ad.KernelGrad  # the backward's G of the unmasked gradient
 
 
 @dataclass
@@ -241,12 +250,12 @@ class ModelHierarchy:
 
         Each slot applies its own mask, BN state, stem, and head on top of
         the shared kernels. For every masked conv a slot that wants
-        contexts saves one (input, raw output, masked output with a
-        retained gradient) so the cascade can form score gradients after
-        one backward pass. want_context is True (every slot), False (no
-        slot) or the indices of the slots that save contexts; score
-        routing reads slots 1 and up. A slot that saves none runs at its
-        kept width.
+        contexts saves one (input, masked output with a retained
+        gradient, and the kernel gradient its backward keeps) so the
+        cascade can form score gradients after one backward pass.
+        want_context is True (every slot), False (no slot) or the
+        indices of the slots that save contexts; score routing reads
+        slots 1 and up. A slot that saves none runs at its kept width.
         """
         if isinstance(want_context, bool):
             want_context = range(len(self.slots)) if want_context else ()
@@ -334,8 +343,9 @@ class ModelHierarchy:
         """Assemble each slot's score gradients from the next slot up.
 
         Slot i's gradient for layer l is the straight-through reduction
-        over slot i+1's saved context at layer l. The top slot has no
-        scores and receives nothing.
+        over slot i+1's saved context at layer l: the kernel gradient
+        that slot i+1's backward kept, contracted with the shared kernel
+        as it is now. The top slot has no scores and receives nothing.
         """
         if len(forwards) != len(self.slots):
             raise HierarchyError(f"expected {len(self.slots)} forward results, "
@@ -349,11 +359,10 @@ class ModelHierarchy:
 
     @staticmethod
     def _context_grad(ctx: LayerContext) -> np.ndarray:
-        if ctx.out.grad is None:
+        if ctx.kernel_grad.value is None:
             raise HierarchyError(f"layer {ctx.layer_id}: no saved loss gradient; "
                                  "run backward over the slot losses first")
-        return surrogate_gamma_grad(ctx.out.grad, ctx.x.data, ctx.weight.data,
-                                    ctx.stride, ctx.padding)
+        return contract_kernel_grad(ctx.weight.data, ctx.kernel_grad.value)
 
     def refresh_masks(self) -> None:
         """Rebuild every scored slot's mask from its current scores.
@@ -447,9 +456,9 @@ class ModelHierarchy:
 
 class _FullWidth:
     """Ops of a pass that saves routing contexts: every activation at full
-    width, each masked conv computing all its filters and saving its
-    input, raw output and masked output (masked_conv2d; under an all-ones
-    mask, as in the top slot, the raw output is the masked one)."""
+    width, each masked conv computing all its filters in one op
+    (ad.masked_conv2d) and saving its input, its output and the kernel
+    gradient its backward keeps."""
 
     def __init__(self, mode: str):
         self.mode = mode
@@ -464,10 +473,11 @@ class _FullWidth:
     def conv(self, t: Tensor, w: Parameter, mask, it: ConvL) -> Tensor:
         if mask is None:
             return ad.conv2d(t, w.value, it.stride, it.padding)
-        pre, out = masked_conv2d(t, w.value, mask, it.stride, it.padding)
-        out.retain_grad()
+        out, kernel_grad = ad.masked_conv2d(t, w.value, mask, it.stride,
+                                            it.padding)
         self.contexts[it.layer_id] = LayerContext(
-            it.layer_id, t, pre, out, w, it.stride, it.padding)
+            it.layer_id, t, out.retain_grad(), w, it.stride, it.padding,
+            kernel_grad)
         return out
 
     def dwconv(self, t: Tensor, w: Parameter, it: DWConvL) -> Tensor:

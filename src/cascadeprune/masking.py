@@ -9,12 +9,14 @@ evaluated on the unmasked pre-activation) so that disabled filters can
 still compete and re-enter on later mask refreshes.
 
 A masked conv runs in one of two forms whose outputs and gradients agree
-up to float summation order. ``masked_conv2d`` computes every filter and
-multiplies the output channelwise by the mask; it also returns the
-unmasked output, which score routing reads, so only a pass that saves
-routing contexts uses it. Every other pass, train or eval, carries
-activations at their live channels and convolves gathered kernel rows
-and columns (see hierarchy.py), so its cost falls with the keep ratio.
+up to float summation order. ``autodiff.masked_conv2d`` is one op that
+computes every filter and zeroes the pruned ones; its backward keeps the
+kernel gradient G of the unmasked output gradient, from which score
+routing reads the surrogate below as a contraction with the kernel, so
+only a pass that saves routing contexts uses it. Every other pass, train
+or eval, carries activations at their live channels and convolves
+gathered kernel rows and columns (see hierarchy.py), so its cost falls
+with the keep ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, channel_scale, conv2d, conv2d_raw
+from .autodiff import conv2d_kernel_grad
+# not called here: bench/tracing.py wraps this name (ROADMAP item 5 drops it)
+from .autodiff import conv2d_raw  # noqa: F401
 
 
 class MaskError(ValueError):
@@ -162,23 +166,11 @@ def build_mask(scores: ImportanceScores, config: PruneConfig) -> FilterMask:
     return FilterMask(mask)
 
 
-def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray,
-                  stride: int = 1, padding: str = "same") -> tuple[Tensor, Tensor]:
-    """Convolution with disabled output channels zeroed.
-
-    Returns (pre, out): the raw conv output and its masked version. The
-    raw tensor is what the surrogate score gradient needs, so callers
-    that route scores keep both. Under an all-ones mask the two are one
-    tensor: multiplying by ones would only copy the output.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim != 1 or mask.shape[0] != w.shape[3]:
-        raise ShapeError(f"mask length {mask.shape} does not match "
-                         f"{w.shape[3]} output filters")
-    pre = conv2d(x, w, stride=stride, padding=padding)
-    if mask.all():
-        return pre, pre
-    return pre, channel_scale(pre, mask.astype(x.dtype))
+def contract_kernel_grad(w: np.ndarray, kernel_grad: np.ndarray) -> np.ndarray:
+    """Per output filter, the sum over (kh, kw, cin) of w * kernel_grad:
+    with kernel_grad = patches(x)^T . dL_dY, this is sum over batch and
+    positions of dL_dY * (x conv w)."""
+    return (w * kernel_grad).sum(axis=(0, 1, 2))
 
 
 def surrogate_gamma_grad(dL_dY: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -192,10 +184,10 @@ def surrogate_gamma_grad(dL_dY: np.ndarray, x: np.ndarray, w: np.ndarray,
                               dL_dY[:, n] * (X conv W)[:, n]
 
     computed on the unmasked product, so a disabled filter still sees a
-    meaningful gradient and can climb back above the keep threshold.
+    meaningful gradient and can climb back above the keep threshold. It
+    is evaluated as the contraction of W with the kernel gradient of
+    dL_dY, through the same two helpers as score routing, which reads the
+    kernel gradient that autodiff.masked_conv2d's backward kept.
     """
-    pre = conv2d_raw(x, w, stride=stride, padding=padding)
-    if dL_dY.shape != pre.shape:
-        raise ShapeError(f"upstream gradient shape {dL_dY.shape} does not "
-                         f"match conv output {pre.shape}")
-    return (dL_dY * pre).sum(axis=(0, 2, 3))
+    return contract_kernel_grad(w, conv2d_kernel_grad(x, dL_dY, w.shape,
+                                                      stride, padding))

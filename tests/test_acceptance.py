@@ -184,9 +184,15 @@ def test_criterion_3_gradient_oracles():
                 ad.Tensor(dx, dtype="f64"), t, stride=stride,
                 padding=pad)), dw))
 
-        sc = rng.uniform(0.5, 2.0, 4)
-        check("channel_scale", _fd_input_check(
-            lambda t: _sq_sum(ad.channel_scale(t, sc)), dx))
+        mk = np.arange(3) != i % 3
+        check("masked_conv2d/x", _fd_input_check(
+            lambda t: _sq_sum(ad.masked_conv2d(
+                t, ad.Tensor(w, dtype="f64"), mk, stride=stride,
+                padding=pad)[0]), x))
+        check("masked_conv2d/w", _fd_input_check(
+            lambda t: _sq_sum(ad.masked_conv2d(
+                ad.Tensor(x, dtype="f64"), t, mk, stride=stride,
+                padding=pad)[0]), w))
 
         xm = _separated(rng, (3, 4))
         wm = _separated(rng, (4, 5))

@@ -3,6 +3,7 @@ per-slot forward behavior, and the cascaded score-gradient routing.
 """
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestConstruction:
         h.shared["conv1"].assign(np.zeros_like(h.shared["conv1"].data))
         fws = h.forward_all(x, mode="eval")
         for fw in fws:
-            assert np.all(fw.contexts[0].pre.data == 0.0)
+            assert np.all(fw.contexts[0].out.data == 0.0)
 
 
 class TestForward:
@@ -146,7 +147,9 @@ class TestForward:
                 dead = ~slot.state.mask.layers[lid]
                 assert np.all(ctx.out.data[:, dead] == 0.0)
                 kept = slot.state.mask.layers[lid]
-                assert np.array_equal(ctx.out.data[:, kept], ctx.pre.data[:, kept])
+                raw = ad.conv2d_raw(ctx.x.data, ctx.weight.data, ctx.stride,
+                                    ctx.padding)
+                assert np.array_equal(ctx.out.data[:, kept], raw[:, kept])
 
     def test_eval_forward_is_repeatable(self):
         h = toy_hierarchy()
@@ -648,6 +651,67 @@ class TestGammaRouting:
         fws = h.forward_all(x, mode="train", want_context=False)
         assert not any(fw.contexts for fw in fws)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_routing_reads_the_kernel_after_a_weight_step(self, dtype):
+        """Routing contracts the kept kernel gradient with each shared
+        kernel as it is when routing runs: after Parameter.assign it is
+        bitwise the surrogate over the saved input, the retained output
+        gradient and the new kernel, not the one the forward ran on."""
+        h = toy_hierarchy(dtype=dtype)
+        x, labels = batch(17)
+        fws = run_losses_and_backward(h, x, labels)
+        rng = np.random.default_rng(17)
+        for p in h.shared_parameters():
+            p.assign(p.data + 0.1 * rng.standard_normal(p.shape))
+        grads = h.route_gamma_gradients(fws)
+        for i in (0, 1):
+            for lid, ctx in fws[i + 1].contexts.items():
+                want = surrogate_gamma_grad(ctx.out.grad, ctx.x.data,
+                                            ctx.weight.data, ctx.stride,
+                                            ctx.padding)
+                assert grads[i][lid].dtype == want.dtype
+                assert grads[i][lid].tobytes() == want.tobytes(), (i, lid)
+
+    def test_forward_keeps_no_batch_norm_output_that_feeds_a_relu(
+            self, monkeypatch):
+        """After a train-mode forward that saves routing contexts, every
+        batch-norm output of every slot is freed (each feeds a relu),
+        and the logits, parameter gradients and routed score gradients
+        are bitwise those of a run that holds all of them."""
+        x, labels = batch(18)
+        batch_norm = ad.batch_norm
+        runs = []
+        for hold in (False, True):
+            h = toy_hierarchy()
+            refs, held = [], []
+
+            def recording(*a, **kw):
+                out = batch_norm(*a, **kw)
+                refs.append(weakref.ref(out))
+                held.extend([out] if hold else [])
+                return out
+
+            monkeypatch.setattr(ad, "batch_norm", recording)
+            fws = h.forward_all(x, mode="train", want_context=range(1, 3))
+            monkeypatch.setattr(ad, "batch_norm", batch_norm)
+            alive = sum(r() is not None for r in refs)
+            total = None
+            for fw in fws:
+                ce = ad.softmax_cross_entropy(fw.logits, labels)
+                total = ce if total is None else ad.add(total, ce)
+            ad.backward(total)
+            runs.append((alive, len(refs),
+                         [fw.logits.data for fw in fws],
+                         [p.grad for p in h.all_parameters()],
+                         h.route_gamma_gradients(fws)))
+        (freed_alive, n, logits, grads, routed), (held_alive, _, *want) = runs
+        assert n > 0 and freed_alive == 0 and held_alive == n
+        for a, b in zip(logits + grads, want[0] + want[1]):
+            assert a.tobytes() == b.tobytes()
+        for i in routed:
+            for lid in routed[i]:
+                assert routed[i][lid].tobytes() == want[2][i][lid].tobytes()
+
     def test_missing_backward_raises(self):
         h = toy_hierarchy()
         x, labels = batch(13)
@@ -726,5 +790,5 @@ class TestMaskRefreshAndPersistence:
         h = toy_hierarchy()
         h.freeze_teacher()
         fw = h.forward_frozen(batch()[0])
-        assert fw.logits.parents == ()
+        assert fw.logits.node is None
         assert not fw.logits.requires_grad

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import cascadeprune.autodiff as ad
 from cascadeprune.masking import (FilterMask, ImportanceScores, MaskError,
                                   PruneConfig, build_mask, keep_count,
-                                  masked_conv2d, surrogate_gamma_grad)
+                                  surrogate_gamma_grad)
 import oracles
 
 
@@ -197,52 +197,100 @@ class TestMaskContainers:
             PruneConfig(keep_ratio=0.5, min_filters=-1)
 
 
+def masked_conv_grads(x, w, mask, g, stride=1, padding="same"):
+    """Output, input gradient, weight gradient and kept kernel gradient of
+    ad.masked_conv2d for the output gradient g."""
+    x_t = ad.Tensor(x, requires_grad=True)
+    w_t = ad.Tensor(w, requires_grad=True)
+    out, kernel_grad = ad.masked_conv2d(x_t, w_t, mask, stride, padding)
+    ad.backward(ad.tensor_sum(ad.mul_const(out, g)))
+    return out.data, x_t.grad, w_t.grad, kernel_grad.value
+
+
+def conv_then_mask_grads(x, w, mask, g, stride=1, padding="same"):
+    """The same four arrays from the composition the op replaces: conv2d,
+    then a numpy multiply by the 0/1 mask (forward and backward)."""
+    x_t = ad.Tensor(x, requires_grad=True)
+    w_t = ad.Tensor(w, requires_grad=True)
+    raw = ad.conv2d(x_t, w_t, stride, padding)
+    s = mask.astype(x.dtype).reshape(1, -1, 1, 1)
+    ad.backward(ad.tensor_sum(ad.mul_const(raw, g * s)))
+    kernel_grad = ad.conv2d_kernel_grad(x, g, w.shape, stride, padding)
+    return raw.data * s, x_t.grad, w_t.grad, kernel_grad
+
+
 class TestMaskedConv:
+    MASKS = {"all-ones": [1, 1, 1, 1, 1], "all-zeros": [0, 0, 0, 0, 0],
+             "mixed": [1, 0, 1, 1, 0]}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"),
+                                                (1, "valid"), (2, "valid")])
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    def test_bitwise_the_conv_then_mask_composition(self, mask, stride,
+                                                    padding, dtype):
+        """Output, input gradient and weight gradient are bitwise conv2d
+        followed by a mask multiply, pruned weight-gradient columns are
+        +0.0, and the kept kernel gradient is bitwise the helper's kernel
+        gradient of the unmasked output gradient."""
+        rng = np.random.default_rng(95)
+        mask = np.array(self.MASKS[mask], dtype=bool)
+        x = rng.standard_normal((2, 3, 7, 6)).astype(dtype)
+        w = rng.standard_normal((3, 3, 3, 5)).astype(dtype)
+        ho = ad.conv2d_raw(x, w, stride, padding).shape[2:]
+        g = rng.standard_normal((2, 5) + ho).astype(dtype)
+        got = masked_conv_grads(x, w, mask, g, stride, padding)
+        want = conv_then_mask_grads(x, w, mask, g, stride, padding)
+        for name, a, b in zip(("out", "x grad", "w grad", "kernel grad"),
+                              got, want):
+            assert a.dtype == dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        pruned_cols = got[2][..., ~mask]
+        assert np.all(pruned_cols == 0.0) and not np.signbit(pruned_cols).any()
+        if mask.all():
+            assert np.array_equal(got[2], got[3])
+
     def test_masked_channels_are_zero_and_kept_match_raw(self):
         rng = np.random.default_rng(90)
         x = ad.Tensor(rng.standard_normal((2, 3, 5, 5)), dtype="f64")
         w = ad.Tensor(rng.standard_normal((3, 3, 3, 4)), dtype="f64",
                       requires_grad=True)
         mask = np.array([True, False, True, False])
-        pre, out = masked_conv2d(x, w, mask)
+        out, kernel_grad = ad.masked_conv2d(x, w, mask)
+        raw = ad.conv2d_raw(x.data, w.data)
         np.testing.assert_array_equal(out.data[:, 1], 0.0)
         np.testing.assert_array_equal(out.data[:, 3], 0.0)
-        np.testing.assert_array_equal(out.data[:, 0], pre.data[:, 0])
-        np.testing.assert_array_equal(out.data[:, 2], pre.data[:, 2])
-        assert out.parents[0] is pre
+        np.testing.assert_array_equal(out.data[:, 0], raw[:, 0])
+        np.testing.assert_array_equal(out.data[:, 2], raw[:, 2])
+        assert out.op == "masked_conv2d" and kernel_grad.value is None
 
-    def test_all_ones_mask_returns_the_raw_output_itself(self):
-        """An all-ones mask adds no copy: out is pre, and its retained
-        grad equals that of the raw output scaled by ones."""
-        rng = np.random.default_rng(94)
-        x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        labels = np.eye(4, dtype=np.float32)[[1, 3]]
+    def test_finite_differences(self):
+        """Both operand gradients of the op match central differences
+        under a mixed mask, strided and padded."""
+        rng = np.random.default_rng(96)
+        x0 = rng.standard_normal((2, 2, 5, 5))
+        w0 = rng.standard_normal((3, 3, 2, 3))
+        mask = np.array([True, False, True])
 
-        def loss_grad(masked):
-            w_t = ad.Tensor(w, requires_grad=True)
-            pre, out = masked(ad.Tensor(x), w_t)
-            out.retain_grad()
-            ad.backward(ad.softmax_cross_entropy(ad.global_avg_pool(out), labels))
-            return pre, out, w_t.grad
+        def loss(x_t, w_t):
+            out, _ = ad.masked_conv2d(x_t, w_t, mask, stride=2)
+            return ad.tensor_sum(ad.square(out))
 
-        def scaled_by_ones(x_t, w_t):
-            pre = ad.conv2d(x_t, w_t)
-            return pre, ad.channel_scale(pre, np.ones(4, dtype=np.float32))
-
-        pre, out, gw = loss_grad(lambda x_t, w_t: masked_conv2d(
-            x_t, w_t, np.ones(4, dtype=bool)))
-        assert out is pre
-        _, ref_out, ref_gw = loss_grad(scaled_by_ones)
-        assert np.array_equal(out.data, ref_out.data)
-        assert np.array_equal(out.grad, ref_out.grad)
-        assert np.array_equal(gw, ref_gw)
+        x_t = ad.Tensor(x0, dtype="f64", requires_grad=True)
+        w_t = ad.Tensor(w0, dtype="f64", requires_grad=True)
+        ad.backward(loss(x_t, w_t))
+        fx = oracles.fd_grad(lambda a: float(loss(
+            ad.Tensor(a, dtype="f64"), ad.Tensor(w0, dtype="f64")).data), x0)
+        fw = oracles.fd_grad(lambda a: float(loss(
+            ad.Tensor(x0, dtype="f64"), ad.Tensor(a, dtype="f64")).data), w0)
+        assert oracles.rel_err(x_t.grad, fx) < 1e-6
+        assert oracles.rel_err(w_t.grad, fw) < 1e-6
 
     def test_mask_length_checked(self):
         x = ad.Tensor(np.zeros((1, 2, 4, 4)))
         w = ad.Tensor(np.zeros((3, 3, 2, 4)))
         with pytest.raises(ad.ShapeError):
-            masked_conv2d(x, w, np.array([True, False]))
+            ad.masked_conv2d(x, w, np.array([True, False]))
 
 
 class TestSurrogateGradient:
@@ -275,14 +323,14 @@ class TestSurrogateGradient:
 
         def loss_at(gamma):
             pre = ad.conv2d(ad.Tensor(x, dtype="f64"), ad.Tensor(w, dtype="f64"))
-            y = ad.channel_scale(pre, gamma)
+            y = ad.mul_const(pre, gamma[None, :, None, None])
             logits = ad.global_avg_pool(y)
             return ad.softmax_cross_entropy(logits, labels)
 
         # upstream gradient dL/dY at gamma0, via the engine
         pre = ad.conv2d(ad.Tensor(x, dtype="f64"),
                         ad.Tensor(w, dtype="f64", requires_grad=True))
-        y = ad.channel_scale(pre, gamma0).retain_grad()
+        y = ad.mul_const(pre, gamma0[None, :, None, None]).retain_grad()
         ad.backward(ad.softmax_cross_entropy(ad.global_avg_pool(y), labels))
         got = surrogate_gamma_grad(y.grad, x, w)
 

@@ -6,6 +6,7 @@ summation is associative and the loop oracle must agree bit for bit.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -447,7 +448,7 @@ def op_grads(y, g):
     """The gradients y's op hands its parents, before the backward sweep
     copies them into leaves. Call it before the sweep, which drops the
     op's closure."""
-    return [pg for pg in y._backward(g) if pg is not None]
+    return [pg for pg in y.node.backward(g) if pg is not None]
 
 
 class TestTake:
@@ -732,15 +733,6 @@ class TestPoolingAndActivations:
         fd_check(lambda t: ad.tensor_sum(ad.square(ad.global_avg_pool(t))),
                  rng.standard_normal((2, 3, 4, 4)))
 
-    def test_channel_scale_forward_and_grad(self):
-        rng = np.random.default_rng(43)
-        x = rng.standard_normal((2, 3, 2, 2))
-        s = np.array([1.0, 0.0, 2.0])
-        y = ad.channel_scale(ad.Tensor(x, dtype="f64"), s).data
-        np.testing.assert_array_equal(y[:, 1], np.zeros((2, 2, 2)))
-        np.testing.assert_allclose(y[:, 2], 2.0 * x[:, 2], rtol=0)
-        fd_check(lambda t: ad.tensor_sum(ad.square(ad.channel_scale(t, s))), x)
-
 
 class TestLosses:
     def test_log_softmax_normalizes(self):
@@ -820,12 +812,80 @@ class TestGraphMechanics:
         data = [n.data.copy() for n in interior]
         ad.backward(loss)
         for n, d in zip(interior, data):
-            assert n._backward is None and n.parents == (), n.op
+            assert n.node.backward is None and n.node.parents == (), n.op
             assert np.array_equal(n.data, d), n.op
         assert cut.grad is None and mid.grad is None
         np.testing.assert_array_equal(kept.grad, [1.0, 1.0])
         # d/dt (9 t^2 + relu(t)) = 18 t + (t > 0)
         np.testing.assert_array_equal(t.grad, [19.0, -36.0])
+
+    # each builds an op from tensors a (N,C,H,W) and b (the op's other operand)
+    OPS = {
+        "conv2d": lambda a, b: ad.conv2d(a, b["w"]),
+        "masked_conv2d": lambda a, b: ad.masked_conv2d(
+            a, b["w"], np.array([True, False, True]))[0],
+        "depthwise_conv2d": lambda a, b: ad.depthwise_conv2d(a, b["dw"]),
+        "batch_norm": lambda a, b: ad.batch_norm(a, b["bn"]),
+        "relu": lambda a, b: ad.relu(a),
+        "max_pool": lambda a, b: ad.max_pool(a, 2, 2),
+        "global_avg_pool": lambda a, b: ad.global_avg_pool(a),
+        "reshape": lambda a, b: ad.flatten(a),
+        "add": lambda a, b: ad.add(a, b["other"]),
+        "take": lambda a, b: ad.take(a, np.array([0, 1]), axis=1),
+        "square": lambda a, b: ad.square(a),
+        "sum": lambda a, b: ad.tensor_sum(a),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_an_op_keeps_no_operand_tensor_alive(self, op):
+        """An op's node holds its parents' nodes and the arrays its
+        backward reads, never the operand tensors themselves: once the
+        caller drops them, they are gone while the output lives on."""
+        rng = np.random.default_rng(61)
+
+        def leaf(shape):
+            return ad.Tensor(rng.standard_normal(shape), dtype="f64",
+                             requires_grad=True)
+
+        a = ad.relu(leaf((2, 3, 4, 4)))
+        b = {"w": leaf((3, 3, 3, 3)), "dw": leaf((3, 3, 3)),
+             "other": ad.scale(leaf((2, 3, 4, 4)), 2.0),
+             "bn": ad.BatchNormState("bn", 3, dtype="f64")}
+        refs = [weakref.ref(a), weakref.ref(b["w"]), weakref.ref(b["dw"]),
+                weakref.ref(b["other"])]
+        y = self.OPS[op](a, b)
+        del a, b
+        assert y.node is not None and y.node.op == op
+        assert all(r() is None for r in refs)
+
+    def test_tape_pins_only_what_closures_read(self):
+        """After a train-mode forward, a batch-norm output that feeds a
+        relu is freed (relu's backward reads its own output, batch norm's
+        its input), and every gradient is bitwise that of a run that
+        holds a strong reference to it."""
+        rng = np.random.default_rng(62)
+        x0 = rng.standard_normal((4, 3, 6, 6)).astype(np.float32)
+        w0 = rng.standard_normal((3, 3, 3, 5)).astype(np.float32)
+        labels = np.eye(5, dtype=np.float32)[[0, 2, 4, 1]]
+
+        def step(hold):
+            w = ad.Tensor(w0, requires_grad=True)
+            state = ad.BatchNormState("bn", 5)
+            normed = ad.batch_norm(ad.conv2d(ad.Tensor(x0), w), state)
+            ref, held = weakref.ref(normed), [normed] if hold else []
+            act = ad.relu(normed)
+            del normed
+            freed = ref() is None
+            ad.backward(ad.softmax_cross_entropy(ad.global_avg_pool(act),
+                                                 labels))
+            grads = [w.grad, state.gamma.value.grad, state.beta.value.grad]
+            return freed, held, grads
+
+        freed, _, grads = step(hold=False)
+        kept, held, want = step(hold=True)
+        assert freed and not kept and held[0].data is not None
+        for a, b in zip(grads, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_a_graph_is_swept_once(self):
         """A later backward that reaches a swept interior node raises,
@@ -857,7 +917,7 @@ class TestGraphMechanics:
         t = ad.Tensor(np.ones(3), dtype="f64", requires_grad=True)
         with ad.no_grad():
             y = ad.scale(t, 2.0)
-        assert y.parents == () and not y.requires_grad
+        assert y.node is None and not y.requires_grad
         np.testing.assert_array_equal(y.data, 2.0 * np.ones(3))
 
     def test_detach_blocks_gradient(self):
