@@ -64,6 +64,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record on the tape here (False inside no_grad)."""
+    return _grad_enabled
+
+
 def _next_node_id() -> int:
     global _node_counter
     _node_counter += 1
@@ -156,10 +161,6 @@ class Tensor:
     def values(self) -> np.ndarray:
         """Row-major flat view of the underlying buffer."""
         return self.data.reshape(-1)
-
-    def detach(self) -> "Tensor":
-        """A leaf tensor sharing this tensor's data, cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def retain_grad(self) -> "Tensor":
         """Keep the gradient a backward computes for this interior tensor."""

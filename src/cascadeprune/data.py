@@ -49,10 +49,6 @@ class Dataset:
     def n(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.images.shape[1:]
-
 
 @dataclass(frozen=True)
 class AugmentConfig:

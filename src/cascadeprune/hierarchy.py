@@ -31,11 +31,20 @@ One loop over the arch's compiled plan runs a slot in one of two forms:
   one image and added into that layer's output. The logits and every
   gradient equal the full-width ones up to float summation order, and
   the cost follows the kept widths that count_stats prices.
+
+An eval pass of that second form with the tape off keeps what it
+computed that does not depend on the images (the gathered kernels,
+dense rows and batch-norm vectors, and the one-image map after every
+step) in its slot's memo. The next such pass of the slot reuses it while
+the slot's kernels, weights, batch-norm state and mask are the same
+objects, so the one-image map is computed once per version of them, not
+once per forward.
 """
 
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from typing import Collection, Optional, Union
 
@@ -73,11 +82,19 @@ def derive_ta_keep_ratios(r0: float, divisors) -> list[float]:
 
 @dataclass
 class SlotState:
-    """Everything one model owns privately (conv kernels are not here)."""
+    """Everything one model owns privately (conv kernels are not here),
+    plus the memo of its last no-tape eval pass at kept width (_Memo).
+
+    The memo relies on one contract: a kernel, stem, dense or batch-norm
+    tensor, a running statistic or a mask array is replaced, never edited
+    in place. Parameter.assign, refresh_masks, train-mode batch norm and
+    load_named_tensors all install new objects, and a memo is used only
+    while every object it was built from is still the one in place."""
     stem: Parameter
     dense: list[Parameter]
     bns: list[BatchNormState]
     mask: FilterMask
+    memo: Optional[_Memo] = field(default=None, repr=False, compare=False)
 
     def named_tensors(self, pre: str) -> dict[str, np.ndarray]:
         """The stem, dense and batch-norm tensors under checkpoint names
@@ -300,9 +317,19 @@ class ModelHierarchy:
                      want_context: bool) -> SlotForward:
         """The one loop over the arch's plan. A pass that saves routing
         contexts runs at full width (_FullWidth); every other pass runs at
-        kept width (_KeptWidth). Ids whose taps share a step collapse into
-        one map, named after the smallest."""
-        ops = _FullWidth(mode) if want_context else _KeptWidth(mode)
+        kept width (_KeptWidth), an eval one with the tape off through
+        the slot's memo. Ids whose taps share a step collapse into one
+        map, named after the smallest."""
+        memo = None
+        if mode == "train":
+            state.memo = None  # this pass replaces its running statistics
+        elif not want_context and not ad.grad_enabled():
+            sources = _memo_sources(weights, state)
+            memo = state.memo
+            if memo is None or not memo.built_from(sources, x.shape[1:]):
+                state.memo = None
+                memo = _Memo(sources, x.shape[1:])
+        ops = _FullWidth(mode) if want_context else _KeptWidth(mode, memo)
         reg = {"x": ops.start(x)}
         hints: dict[str, Tensor] = {}
         for st in self.arch.plan:
@@ -333,8 +360,10 @@ class ModelHierarchy:
             if hit:
                 hints[f"tap{min(hit)}"] = ops.full(t)
 
-        return SlotForward(logits=ops.full(reg["x"]), hint_maps=hints,
-                           contexts=ops.contexts)
+        logits = ops.full(reg["x"])
+        if memo is not None:
+            state.memo = memo  # installed once the pass that fills it is done
+        return SlotForward(logits=logits, hint_maps=hints, contexts=ops.contexts)
 
     # -- cascade plumbing ----------------------------------------------------
 
@@ -545,29 +574,91 @@ def _widen(v: _Live, index: np.ndarray) -> Tensor:
                                 axis=1))
 
 
+class _Memo:
+    """The values of one slot's no-tape eval pass at kept width that do
+    not depend on the images, in the order the pass computed them: the
+    gathered kernels, dense rows and batch-norm states, and the fold after
+    each step. The folds' sizes follow the image shape (a net that ends
+    in global pooling runs at any input size). It refers to the objects
+    it was built from only weakly, so it keeps no replaced kernel,
+    weight, statistic or mask alive."""
+
+    def __init__(self, sources: list, image_shape: tuple):
+        self._sources = [weakref.ref(o) for o in sources]
+        self._image_shape = image_shape
+        self.values: list = []
+
+    def built_from(self, sources: list, image_shape: tuple) -> bool:
+        return image_shape == self._image_shape \
+            and len(sources) == len(self._sources) \
+            and all(ref() is o for ref, o in zip(self._sources, sources))
+
+
+def _memo_sources(weights: dict[str, Parameter], state: SlotState) -> list:
+    """Every object a kept-width pass of the slot reads besides the images."""
+    objs = [p.value for p in weights.values()]
+    objs += [state.stem.value] + [p.value for p in state.dense]
+    for bn in state.bns:
+        objs += [bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var]
+    return objs + list(state.mask.layers.values())
+
+
+def _bn_channels(bn: BatchNormState, index: np.ndarray) -> BatchNormState:
+    """bn's state at the given channels, copied off the tape: the vectors
+    batch_norm(..., index=index) gathers."""
+    out = copy.copy(bn)
+    out.channels = index.size
+    out.gamma = Parameter(bn.gamma.name, bn.gamma.data[index], trainable=False)
+    out.beta = Parameter(bn.beta.name, bn.beta.data[index], trainable=False)
+    out.running_mean = bn.running_mean[index]
+    out.running_var = bn.running_var[index]
+    return out
+
+
 class _KeptWidth:
     """Ops of a pass that saves no routing context, train or eval:
     activations at their live channels (_Live), so a pruned slot pays
     only for what it keeps. They record on the tape when grad is enabled.
 
     A conv gathers the kernel rows of its live inputs and the columns of
-    its kept filters on every call (ad.take, whose gradient scatters into
-    zeros), and adds what the dead inputs contribute: one image's conv
-    over the fold, added to every image. Batch norm, relu, pooling and
-    depthwise convs run on the live channels with gathered per-channel
-    parameters, and on the fold. A residual join keeps the union of its
-    sides' live channels. The result equals the full-width pass up to
-    float summation order, including what pruned channels leak through
-    batch norm. In train mode the fold goes through batch norm with its
-    own one-image statistics: every image's dead channel is the same, so
-    they equal the batch's, and the one-image backward of the fold's
-    gradient (the batch sum) is the batch sum of the per-image input
-    gradients.
+    its kept filters (ad.take, whose gradient scatters into zeros), and
+    adds what the dead inputs contribute: one image's conv over the fold,
+    added to every image. Batch norm, relu, pooling and depthwise convs
+    run on the live channels with gathered per-channel parameters, and on
+    the fold. A residual join keeps the union of its sides' live
+    channels. The result equals the full-width pass up to float summation
+    order, including what pruned channels leak through batch norm. In
+    train mode the fold goes through batch norm with its own one-image
+    statistics: every image's dead channel is the same, so they equal the
+    batch's, and the one-image backward of the fold's gradient (the batch
+    sum) is the batch sum of the per-image input gradients.
+
+    Given a memo (an eval pass with the tape off), every value that does
+    not depend on the images goes through _once: the gathers, and the
+    fold after each step with its contribution to the next conv or dense
+    output. The pass that builds the memo computes them; a later pass of
+    the same slot, kernels, weights, batch-norm state and mask takes the
+    same arrays back and runs only the live channels on the images, so
+    its outputs are bitwise those of the pass that built the memo.
     """
 
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, memo: Optional[_Memo] = None):
         self.mode = mode
         self.contexts: dict[int, LayerContext] = {}
+        self.memo = memo
+        self._next = 0
+
+    def _once(self, make):
+        """make(), or with a memo the value this call returned in the
+        pass that built it. The same masks give the same calls in the
+        same order, so the calls are matched by position."""
+        if self.memo is None:
+            return make()
+        values = self.memo.values
+        if self._next == len(values):
+            values.append(make())
+        self._next += 1
+        return values[self._next - 1]
 
     def start(self, x: Tensor) -> _Live:
         return _Live(x, x.shape[1])
@@ -576,45 +667,59 @@ class _KeptWidth:
         return _widen(v, np.arange(v.width))
 
     def conv(self, v: _Live, w: Parameter, mask, it: ConvL) -> _Live:
-        # rows before columns: gathering whole rows first is the faster order
         kept = None if mask is None or mask.all() else np.flatnonzero(mask)
-        kernel = w.value if v.live is None else ad.take(w.value, v.live, axis=2)
-        if kept is not None:
-            kernel = ad.take(kernel, kept, axis=3)
-        y = ad.conv2d(v.data, kernel, it.stride, it.padding)
-        if v.fold is not None:
+
+        def gather():
+            # rows before columns: gathering whole rows first is the faster order
+            kernel = w.value if v.live is None else ad.take(w.value, v.live, axis=2)
+            return kernel if kept is None else ad.take(kernel, kept, axis=3)
+
+        def fold_term():
             f = ad.conv2d(v.fold, ad.take(w.value, v.dead, axis=2),
                           it.stride, it.padding)
-            y = ad.add(y, f if kept is None else ad.take(f, kept, axis=1))
+            return f if kept is None else ad.take(f, kept, axis=1)
+
+        kernel = w.value  # never memoised: the memo must not keep it alive
+        if v.live is not None or kept is not None:
+            kernel = self._once(gather)
+        y = ad.conv2d(v.data, kernel, it.stride, it.padding)
+        if v.fold is not None:
+            y = ad.add(y, self._once(fold_term))
         return _Live(y, w.shape[3], kept)
 
     def dwconv(self, v: _Live, w: Parameter, it: DWConvL) -> _Live:
         if v.live is None:
             return _Live(ad.depthwise_conv2d(v.data, w.value, it.stride,
                                              it.padding), v.width)
-        y = ad.depthwise_conv2d(v.data, ad.take(w.value, v.live, axis=2),
-                                it.stride, it.padding)
+        kernel = self._once(lambda: ad.take(w.value, v.live, axis=2))
+        y = ad.depthwise_conv2d(v.data, kernel, it.stride, it.padding)
         fold = None
         if v.fold is not None:
-            fold = ad.depthwise_conv2d(v.fold, ad.take(w.value, v.dead, axis=2),
-                                       it.stride, it.padding)
+            fold = self._once(lambda: ad.depthwise_conv2d(
+                v.fold, ad.take(w.value, v.dead, axis=2), it.stride, it.padding))
         return _Live(y, v.width, v.live, fold)
 
     def bn(self, v: _Live, bn: BatchNormState) -> _Live:
         if v.live is None:
             return _Live(ad.batch_norm(v.data, bn, mode=self.mode), v.width)
-        y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
-        dead = v.dead
-        fold = v.fold
-        if fold is None:
-            fold = Tensor(np.zeros((1, dead.size) + v.data.shape[2:],
-                                   dtype=v.data.dtype))
-        fold = ad.batch_norm(fold, bn, mode=self.mode, index=dead)
-        return _Live(y, v.width, v.live, fold)
+        if self.memo is None:
+            y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
+        else:
+            y = ad.batch_norm(v.data, self._once(lambda: _bn_channels(bn, v.live)),
+                              mode=self.mode)
 
-    @staticmethod
-    def _pointwise(v: _Live, op) -> _Live:
-        fold = None if v.fold is None else op(v.fold)
+        def fold_after():
+            dead = v.dead
+            fold = v.fold
+            if fold is None:
+                fold = Tensor(np.zeros((1, dead.size) + v.data.shape[2:],
+                                       dtype=v.data.dtype))
+            return ad.batch_norm(fold, bn, mode=self.mode, index=dead)
+
+        return _Live(y, v.width, v.live, self._once(fold_after))
+
+    def _pointwise(self, v: _Live, op) -> _Live:
+        fold = None if v.fold is None else self._once(lambda: op(v.fold))
         return _Live(op(v.data), v.width, v.live, fold)
 
     def relu(self, v: _Live) -> _Live:
@@ -636,11 +741,10 @@ class _KeptWidth:
         def rows(channels):
             return (channels[:, None] * per + np.arange(per)).reshape(-1)
 
-        y = ad.dense(x, ad.take(w.value, rows(v.live), axis=0))
+        y = ad.dense(x, self._once(lambda: ad.take(w.value, rows(v.live), axis=0)))
         if v.fold is not None:
-            f = ad.dense(ad.reshape(v.fold, (1, -1)),
-                         ad.take(w.value, rows(v.dead), axis=0))
-            y = ad.add(y, f)
+            y = ad.add(y, self._once(lambda: ad.dense(
+                ad.reshape(v.fold, (1, -1)), ad.take(w.value, rows(v.dead), axis=0))))
         return _Live(y, w.shape[1])
 
     def add(self, a: _Live, b: _Live) -> _Live:
@@ -653,11 +757,16 @@ class _KeptWidth:
         y = ad.add(_widen(a, index), _widen(b, index))
         if index.size == a.width:
             return _Live(y, a.width)
-        # the join's dead channels are dead on both sides
-        dead = _dead(index, a.width)
-        fold = None
-        for side in (a, b):
-            if side.fold is not None:
-                part = ad.take(side.fold, np.searchsorted(side.dead, dead), axis=1)
-                fold = part if fold is None else ad.add(fold, part)
-        return _Live(y, a.width, index, fold)
+
+        def fold_after():
+            # the join's dead channels are dead on both sides
+            dead = _dead(index, a.width)
+            fold = None
+            for side in (a, b):
+                if side.fold is not None:
+                    part = ad.take(side.fold, np.searchsorted(side.dead, dead),
+                                   axis=1)
+                    fold = part if fold is None else ad.add(fold, part)
+            return fold
+
+        return _Live(y, a.width, index, self._once(fold_after))

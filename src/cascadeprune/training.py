@@ -385,14 +385,6 @@ class Trainer:
         for _ in range(epochs):
             self.joint_epoch()
 
-    def run_intermediate(self, epochs: int) -> None:
-        for _ in range(epochs):
-            self.intermediate_epoch()
-
-    def run_finetune(self, epochs: int) -> None:
-        for _ in range(epochs):
-            self.finetune_epoch()
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:

@@ -1,7 +1,10 @@
 """The weight-shared hierarchy: ratio schedule, construction invariants,
-per-slot forward behavior, and the cascaded score-gradient routing.
+per-slot forward behavior, the eval-pass memo, and the cascaded
+score-gradient routing.
 """
 
+import gc
+import importlib.util
 import os
 import weakref
 
@@ -16,6 +19,7 @@ from cascadeprune.hierarchy import (HierarchyError, ModelHierarchy,
                                     derive_ta_keep_ratios)
 from cascadeprune.masking import (FilterMask, PruneConfig, build_mask,
                                   surrogate_gamma_grad)
+from cascadeprune.optim import SGDNesterov
 import oracles
 
 
@@ -792,3 +796,178 @@ class TestMaskRefreshAndPersistence:
         fw = h.forward_frozen(batch()[0])
         assert fw.logits.node is None
         assert not fw.logits.requires_grad
+
+
+MEMO_ARCHS = {"vgg16_cifar10": lambda: resolve_arch("vgg16_cifar10"),
+              "mobilenetv1_cifar100": lambda: resolve_arch("mobilenetv1_cifar100"),
+              "toy_residual": lambda: load_arch(TOY_RESIDUAL_ARCH)}
+
+
+def leaky_hierarchy(arch, seed=0):
+    """A fresh hierarchy whose batch norms hold random affines and running
+    statistics, so that what its pruned channels leak is not zero."""
+    h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=seed)
+    rng = np.random.default_rng(seed)
+    for slot in h.slots:
+        for bn in slot.state.bns:
+            c = bn.channels
+            bn.gamma.assign((0.5 + rng.random(c)).astype(np.float32))
+            bn.beta.assign((0.3 * rng.standard_normal(c)).astype(np.float32))
+            bn.running_mean = (0.3 * rng.standard_normal(c)).astype(np.float32)
+            bn.running_var = (0.5 + rng.random(c)).astype(np.float32)
+    return h
+
+
+def images(arch, n=2, seed=0):
+    return np.random.default_rng(seed).standard_normal(
+        (n, arch.in_c, arch.in_h, arch.in_w)).astype(np.float32)
+
+
+def memo_pass(h, x, slot=0, hint_ids=()):
+    """A no-tape eval pass of one slot; returns it and the slot's memo."""
+    with ad.no_grad():
+        fw = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+    return fw, h.slots[slot].state.memo
+
+
+def assert_bitwise(got, want):
+    assert got.logits.data.tobytes() == want.logits.data.tobytes()
+    assert sorted(got.hint_maps) == sorted(want.hint_maps)
+    for k, m in want.hint_maps.items():
+        assert got.hint_maps[k].data.tobytes() == m.data.tobytes(), k
+
+
+class TestEvalMemo:
+    @pytest.mark.parametrize("arch_id", sorted(MEMO_ARCHS))
+    def test_hit_miss_and_tape_passes_are_bitwise_equal(self, arch_id):
+        arch = MEMO_ARCHS[arch_id]()
+        h = leaky_hierarchy(arch)
+        x = images(arch)
+        hint_ids = sorted(arch.maskable_sizes)[::3]
+        tape = h.forward_slot(0, x, mode="eval", hint_ids=hint_ids)
+        assert tape.logits.requires_grad and h.student.state.memo is None
+        miss, memo = memo_pass(h, x, hint_ids=hint_ids)
+        assert memo is not None and memo.values
+        hit, again = memo_pass(h, x, hint_ids=hint_ids)
+        assert again is memo
+        assert_bitwise(miss, tape)
+        assert_bitwise(hit, tape)
+
+    def test_no_memo_on_tape_or_train_passes(self):
+        arch = MEMO_ARCHS["toy_residual"]()
+        h = leaky_hierarchy(arch)
+        x = images(arch)
+        h.forward_slot(0, x, mode="eval")
+        h.forward_slot(0, x, mode="train")
+        with ad.no_grad():
+            h.forward_slot(0, x, mode="train")
+        assert h.student.state.memo is None
+        _, memo = memo_pass(h, x)
+        assert memo is not None
+        h.forward_slot(0, x, mode="eval")
+        assert h.student.state.memo is memo
+
+    def _invalidated_by(self, edit, arch_id="toy_residual"):
+        """Build the student's memo, apply edit(h, x), then check that the
+        next no-tape eval pass rebuilds the memo and matches a tape pass."""
+        arch = MEMO_ARCHS[arch_id]()
+        h = leaky_hierarchy(arch)
+        x = images(arch)
+        before, memo = memo_pass(h, x)
+        edit(h, x)
+        after, rebuilt = memo_pass(h, x)
+        assert rebuilt is not None and rebuilt is not memo
+        assert_bitwise(after, h.forward_slot(0, x, mode="eval"))
+        assert after.logits.data.tobytes() != before.logits.data.tobytes()
+
+    def test_an_optimizer_step_invalidates(self):
+        """A step that moves only the shared kernels, so that nothing of
+        the slot's own state changes."""
+        def step(h, x):
+            sgd = SGDNesterov(h.all_parameters())
+            for p in h.all_parameters():
+                p.value.grad = np.ones_like(p.data)
+            sgd.step(0.01, include={p.name for p in h.shared_parameters()})
+
+        self._invalidated_by(step)
+
+    def test_refresh_masks_invalidates(self):
+        def rescore(h, x):
+            for lid, s in h.student.scores.layers.items():
+                h.student.scores.layers[lid] = -s
+            h.refresh_masks()
+
+        self._invalidated_by(rescore)
+
+    def test_a_train_pass_of_the_slot_invalidates(self):
+        def train(h, x):
+            h.forward_slot(0, x, mode="train")
+            assert h.student.state.memo is None
+
+        self._invalidated_by(train)
+
+    def test_load_named_tensors_invalidates(self):
+        def load(h, x):
+            other = leaky_hierarchy(h.arch, seed=1)
+            h.load_named_tensors(other.named_tensors())
+
+        self._invalidated_by(load)
+
+    def test_silence_check_edit_invalidates(self):
+        """bench/checks.py's silence_gap copies beta and the running mean,
+        edits the copies and installs them; the eval pass after that edit
+        sees the new state, so the leak it measures is not hidden."""
+        path = os.path.join(os.path.dirname(TOY_RESIDUAL_ARCH), "checks.py")
+        spec = importlib.util.spec_from_file_location("bench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        gap = {}
+
+        def silence(h, x):
+            gap["gap"] = checks.silence_gap(h, x)
+
+        self._invalidated_by(silence)
+        assert gap["gap"] > 1e-5
+
+    @pytest.mark.parametrize("part", ["gamma", "beta", "running_mean",
+                                      "running_var", "dense"])
+    def test_one_replaced_slot_array_invalidates(self, part):
+        """Each of the student's own arrays counts on its own: one kind
+        of them is copied, edited and put back in place of the old."""
+        def replace(h, x):
+            st = h.student.state
+            if part == "dense":
+                for p in st.dense:
+                    p.assign(p.data * 1.5)
+            for bn in st.bns:
+                if part in ("gamma", "beta"):
+                    param = getattr(bn, part)
+                    param.assign(param.data + 0.1)
+                elif part != "dense":
+                    setattr(bn, part, getattr(bn, part) + 0.1)
+
+        self._invalidated_by(replace)
+
+    def test_another_image_size_rebuilds(self):
+        """A net that ends in global pooling runs at any input size; the
+        one-image maps follow that size."""
+        arch = MEMO_ARCHS["toy_residual"]()
+        h = leaky_hierarchy(arch)
+        x = images(arch)
+        _, memo = memo_pass(h, x)
+        small = x[:, :, :8, :8]
+        got, rebuilt = memo_pass(h, small)
+        assert rebuilt is not memo
+        assert_bitwise(got, h.forward_slot(0, small, mode="eval"))
+
+    def test_a_replaced_kernel_is_not_kept_alive(self):
+        arch = MEMO_ARCHS["toy_residual"]()
+        h = leaky_hierarchy(arch)
+        x = images(arch)
+        _, memo = memo_pass(h, x)
+        assert memo.values
+        for p in h.shared_parameters():
+            old = weakref.ref(p.value)
+            p.assign(p.data * 2.0)
+            gc.collect()
+            assert old() is None, p.name

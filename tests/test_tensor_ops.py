@@ -920,13 +920,6 @@ class TestGraphMechanics:
         assert y.node is None and not y.requires_grad
         np.testing.assert_array_equal(y.data, 2.0 * np.ones(3))
 
-    def test_detach_blocks_gradient(self):
-        t = ad.Tensor(np.array([2.0]), dtype="f64", requires_grad=True)
-        loss = ad.tensor_sum(ad.square(ad.add(t, t.detach())))
-        ad.backward(loss)
-        # d/dt (t + const)^2 = 2*(t + const) with const = 2
-        np.testing.assert_array_equal(t.grad, [8.0])
-
     def test_mixed_dtype_rejected(self):
         a = ad.Tensor(np.zeros((2, 2)), dtype="f32")
         b = ad.Tensor(np.zeros((2, 2)), dtype="f64")
