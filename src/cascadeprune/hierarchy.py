@@ -15,30 +15,29 @@ the kernel gradient G of its unmasked output gradient; routing contracts
 G with the shared kernel, which is the straight-through reduction over
 the saved input and output gradient without rerunning the conv.
 
-One loop over the arch's compiled plan runs a slot in one of two forms:
+One loop over the arch's compiled plan runs every pass of a slot, train
+or eval, on the tape or not, with one op set (_KeptWidth): activations
+at their live channels only. A pruned filter's output is exactly zero
+for every input, so what batch norm and the layers after it make of it
+up to the next conv or dense layer is one input-independent map; it is
+computed on one image and added into that layer's output. The logits and
+every gradient equal the full-width ones up to float summation order,
+and the cost follows the kept widths that count_stats prices.
 
-- Saving routing contexts (slots 1 and up in a joint step that steps
-  the scores): every activation at full width, each masked conv
-  computing all filters and masking them in one op
-  (autodiff.masked_conv2d), whose backward keeps what score routing
-  reads.
-- Every other pass, train or eval, on the tape or not (the fine-tune
-  student, slot 0 of a joint step, every slot of an intermediate epoch,
-  evaluation, the frozen teacher): activations at their live channels
-  only. A pruned filter's output is exactly zero for every input, so
-  what batch norm and the layers after it make of it up to the next
-  conv or dense layer is one input-independent map; it is computed on
-  one image and added into that layer's output. The logits and every
-  gradient equal the full-width ones up to float summation order, and
-  the cost follows the kept widths that count_stats prices.
+A pass that saves routing contexts (slots 1 and up in a joint step that
+steps the scores) differs only at its masked convs: each computes all
+its filters from its full-width input and masks them in one op
+(autodiff.masked_conv2d), whose backward keeps what score routing reads.
+Its output then carries every channel, so the rest of that pass runs at
+full width.
 
-An eval pass of that second form with the tape off keeps what it
-computed that does not depend on the images (the gathered kernels,
-dense rows and batch-norm vectors, and the one-image map after every
-step) in its slot's memo. The next such pass of the slot reuses it while
-the slot's kernels, weights, batch-norm state and mask are the same
-objects, so the one-image map is computed once per version of them, not
-once per forward.
+An eval pass with the tape off keeps what it computed that does not
+depend on the images and is costly to recompute (the gathered kernels
+and dense rows, and the one-image map after every step) in its slot's
+memo. The next such pass of the slot reuses it while the slot's kernels,
+weights, batch-norm state and mask are the same objects, so the
+one-image map is computed once per version of them, not once per
+forward.
 """
 
 from __future__ import annotations
@@ -206,7 +205,7 @@ class ModelHierarchy:
                 state.mask = build_mask(scores, PruneConfig(r, min_filters))
             self.slots.append(ModelSlot(i, r, state, scores))
 
-        self.frozen: Optional[tuple[dict[str, np.ndarray], SlotState]] = None
+        self.frozen: Optional[tuple[dict[str, Parameter], SlotState]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -239,8 +238,10 @@ class ModelHierarchy:
     def freeze_teacher(self) -> None:
         """Capture the current top slot as the permanent frozen teacher:
         private copies of the shared kernels and of the top slot's stem,
-        heads, and BN running statistics."""
-        weights = {label: p.data.copy() for label, p in self.shared.items()}
+        heads, and BN running statistics, none of them trainable."""
+        weights = {label: Parameter(f"frozen.{label}.w", p.data.copy(),
+                                    dtype=self.dtype, trainable=False)
+                   for label, p in self.shared.items()}
         top = self.top.state
         state = SlotState(
             stem=Parameter("frozen.stem.w", top.stem.data.copy(),
@@ -272,7 +273,8 @@ class ModelHierarchy:
         cascade can form score gradients after one backward pass.
         want_context is True (every slot), False (no slot) or the
         indices of the slots that save contexts; score routing reads
-        slots 1 and up. A slot that saves none runs at its kept width.
+        slots 1 and up. A slot runs at its kept width up to its first
+        masked conv that saves a context, and at full width from there.
         """
         if isinstance(want_context, bool):
             want_context = range(len(self.slots)) if want_context else ()
@@ -295,12 +297,9 @@ class ModelHierarchy:
             raise HierarchyError("no frozen teacher; call freeze_teacher() "
                                  "or load a checkpoint that has one")
         weights, state = self.frozen
-        params = {label: Parameter(f"frozen.{label}.w", v, dtype=self.dtype,
-                                   trainable=False)
-                  for label, v in weights.items()}
         hints = self._hint_set(hint_ids)
         with ad.no_grad():
-            return self._forward_one(Tensor(images, dtype=self.dtype), params,
+            return self._forward_one(Tensor(images, dtype=self.dtype), weights,
                                      state, "eval", hints, want_context=False)
 
     def _hint_set(self, hint_ids) -> set[int]:
@@ -315,11 +314,10 @@ class ModelHierarchy:
     def _forward_one(self, x: Tensor, weights: dict[str, Parameter],
                      state: SlotState, mode: str, hint_ids: set[int],
                      want_context: bool) -> SlotForward:
-        """The one loop over the arch's plan. A pass that saves routing
-        contexts runs at full width (_FullWidth); every other pass runs at
-        kept width (_KeptWidth), an eval one with the tape off through
-        the slot's memo. Ids whose taps share a step collapse into one
-        map, named after the smallest."""
+        """The one loop over the arch's plan, with one op set
+        (_KeptWidth); an eval pass that saves no context and has the tape
+        off goes through the slot's memo. Ids whose taps share a step
+        collapse into one map, named after the smallest."""
         memo = None
         if mode == "train":
             state.memo = None  # this pass replaces its running statistics
@@ -329,7 +327,7 @@ class ModelHierarchy:
             if memo is None or not memo.built_from(sources, x.shape[1:]):
                 state.memo = None
                 memo = _Memo(sources, x.shape[1:])
-        ops = _FullWidth(mode) if want_context else _KeptWidth(mode, memo)
+        ops = _KeptWidth(mode, memo, want_context)
         reg = {"x": ops.start(x)}
         hints: dict[str, Tensor] = {}
         for st in self.arch.plan:
@@ -438,8 +436,8 @@ class ModelHierarchy:
                     out[f"{pre}.scores.{lid}"] = s
         if self.frozen is not None:
             weights, state = self.frozen
-            for label, v in weights.items():
-                out[f"frozen.{label}.w"] = v
+            for label, p in weights.items():
+                out[f"frozen.{label}.w"] = p.data
             out.update(state.named_tensors("frozen"))
         return out
 
@@ -474,64 +472,14 @@ class ModelHierarchy:
                      for lid in self.arch.maskable_sizes})
         if has_frozen:
             weights, state = self.frozen
-            for label in weights:
-                weights[label] = table[f"frozen.{label}.w"].copy()
+            for label, p in weights.items():
+                p.assign(table[f"frozen.{label}.w"].copy())
             state.load_named_tensors(table, "frozen")
 
 
 # ---------------------------------------------------------------------------
-# the two op sets of the forward walk
+# the op set of the forward walk
 # ---------------------------------------------------------------------------
-
-class _FullWidth:
-    """Ops of a pass that saves routing contexts: every activation at full
-    width, each masked conv computing all its filters in one op
-    (ad.masked_conv2d) and saving its input, its output and the kernel
-    gradient its backward keeps."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.contexts: dict[int, LayerContext] = {}
-
-    def start(self, x: Tensor) -> Tensor:
-        return x
-
-    def full(self, t: Tensor) -> Tensor:
-        return t
-
-    def conv(self, t: Tensor, w: Parameter, mask, it: ConvL) -> Tensor:
-        if mask is None:
-            return ad.conv2d(t, w.value, it.stride, it.padding)
-        out, kernel_grad = ad.masked_conv2d(t, w.value, mask, it.stride,
-                                            it.padding)
-        self.contexts[it.layer_id] = LayerContext(
-            it.layer_id, t, out.retain_grad(), w, it.stride, it.padding,
-            kernel_grad)
-        return out
-
-    def dwconv(self, t: Tensor, w: Parameter, it: DWConvL) -> Tensor:
-        return ad.depthwise_conv2d(t, w.value, it.stride, it.padding)
-
-    def bn(self, t: Tensor, bn: BatchNormState) -> Tensor:
-        return ad.batch_norm(t, bn, mode=self.mode)
-
-    def relu(self, t: Tensor) -> Tensor:
-        return ad.relu(t)
-
-    def max_pool(self, t: Tensor, it: PoolL) -> Tensor:
-        return ad.max_pool(t, it.k, it.stride, it.padding)
-
-    def gap(self, t: Tensor) -> Tensor:
-        return ad.global_avg_pool(t)
-
-    def dense(self, t: Tensor, w: Parameter) -> Tensor:
-        if t.data.ndim != 2:
-            t = ad.flatten(t)
-        return ad.dense(t, w.value)
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        return ad.add(a, b)
-
 
 @dataclass
 class _Live:
@@ -575,11 +523,12 @@ def _widen(v: _Live, index: np.ndarray) -> Tensor:
 
 
 class _Memo:
-    """The values of one slot's no-tape eval pass at kept width that do
-    not depend on the images, in the order the pass computed them: the
-    gathered kernels, dense rows and batch-norm states, and the fold after
-    each step. The folds' sizes follow the image shape (a net that ends
-    in global pooling runs at any input size). It refers to the objects
+    """The values of one slot's no-tape eval pass that do not depend on
+    the images and are costly to recompute, in the order the pass
+    computed them: the gathered kernels and dense rows, and the fold after
+    each step with its contribution to the next conv or dense output. The
+    folds' sizes follow the image shape (a net that ends in global
+    pooling runs at any input size). It refers to the objects
     it was built from only weakly, so it keeps no replaced kernel,
     weight, statistic or mask alive."""
 
@@ -603,22 +552,10 @@ def _memo_sources(weights: dict[str, Parameter], state: SlotState) -> list:
     return objs + list(state.mask.layers.values())
 
 
-def _bn_channels(bn: BatchNormState, index: np.ndarray) -> BatchNormState:
-    """bn's state at the given channels, copied off the tape: the vectors
-    batch_norm(..., index=index) gathers."""
-    out = copy.copy(bn)
-    out.channels = index.size
-    out.gamma = Parameter(bn.gamma.name, bn.gamma.data[index], trainable=False)
-    out.beta = Parameter(bn.beta.name, bn.beta.data[index], trainable=False)
-    out.running_mean = bn.running_mean[index]
-    out.running_var = bn.running_var[index]
-    return out
-
-
 class _KeptWidth:
-    """Ops of a pass that saves no routing context, train or eval:
-    activations at their live channels (_Live), so a pruned slot pays
-    only for what it keeps. They record on the tape when grad is enabled.
+    """The ops of every pass, train or eval: activations at their live
+    channels (_Live), so a pruned slot pays only for what it keeps. They
+    record on the tape when grad is enabled.
 
     A conv gathers the kernel rows of its live inputs and the columns of
     its kept filters (ad.take, whose gradient scatters into zeros), and
@@ -634,16 +571,24 @@ class _KeptWidth:
     sum) is the batch sum of the per-image input gradients.
 
     Given a memo (an eval pass with the tape off), every value that does
-    not depend on the images goes through _once: the gathers, and the
-    fold after each step with its contribution to the next conv or dense
-    output. The pass that builds the memo computes them; a later pass of
+    not depend on the images and is costly to recompute goes through
+    _once: the kernel and dense-row gathers, and the fold after each step
+    with its contribution to the next conv or dense output. Batch norm
+    gathers its per-channel vectors again on every pass. The pass that builds the memo computes them; a later pass of
     the same slot, kernels, weights, batch-norm state and mask takes the
     same arrays back and runs only the live channels on the images, so
     its outputs are bitwise those of the pass that built the memo.
+
+    With save_contexts, each masked conv instead computes all its filters
+    and masks them in one op (ad.masked_conv2d), saving its input, its
+    output and the kernel gradient its backward keeps, so that routing
+    reads the filters this slot prunes too. Its output carries every
+    channel, so from there every op of the pass runs at full width.
     """
 
-    def __init__(self, mode: str, memo: Optional[_Memo] = None):
+    def __init__(self, mode: str, memo: Optional[_Memo], save_contexts: bool):
         self.mode = mode
+        self.save_contexts = save_contexts
         self.contexts: dict[int, LayerContext] = {}
         self.memo = memo
         self._next = 0
@@ -667,6 +612,15 @@ class _KeptWidth:
         return _widen(v, np.arange(v.width))
 
     def conv(self, v: _Live, w: Parameter, mask, it: ConvL) -> _Live:
+        if self.save_contexts and mask is not None:
+            # full width in: every conv before it in this pass returned all
+            # its channels (the stem, unmasked convs and this branch)
+            out, kernel_grad = ad.masked_conv2d(v.data, w.value, mask,
+                                                it.stride, it.padding)
+            self.contexts[it.layer_id] = LayerContext(
+                it.layer_id, v.data, out.retain_grad(), w, it.stride,
+                it.padding, kernel_grad)
+            return _Live(out, w.shape[3])
         kept = None if mask is None or mask.all() else np.flatnonzero(mask)
 
         def gather():
@@ -700,13 +654,9 @@ class _KeptWidth:
         return _Live(y, v.width, v.live, fold)
 
     def bn(self, v: _Live, bn: BatchNormState) -> _Live:
+        y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
         if v.live is None:
-            return _Live(ad.batch_norm(v.data, bn, mode=self.mode), v.width)
-        if self.memo is None:
-            y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
-        else:
-            y = ad.batch_norm(v.data, self._once(lambda: _bn_channels(bn, v.live)),
-                              mode=self.mode)
+            return _Live(y, v.width)
 
         def fold_after():
             dead = v.dead

@@ -8,15 +8,15 @@ gradient (gradient of the loss w.r.t. a per-channel multiplier,
 evaluated on the unmasked pre-activation) so that disabled filters can
 still compete and re-enter on later mask refreshes.
 
-A masked conv runs in one of two forms whose outputs and gradients agree
-up to float summation order. ``autodiff.masked_conv2d`` is one op that
-computes every filter and zeroes the pruned ones; its backward keeps the
-kernel gradient G of the unmasked output gradient, from which score
-routing reads the surrogate below as a contraction with the kernel, so
-only a pass that saves routing contexts uses it. Every other pass, train
-or eval, carries activations at their live channels and convolves
-gathered kernel rows and columns (see hierarchy.py), so its cost falls
-with the keep ratio.
+Every pass runs through one op set (hierarchy._KeptWidth), which
+carries activations at their live channels and convolves gathered
+kernel rows and columns, so its cost falls with the keep ratio. Only in
+a pass that saves routing contexts does a masked conv run
+``autodiff.masked_conv2d`` instead: one op that computes every filter
+and zeroes the pruned ones, whose backward keeps the kernel gradient G
+of the unmasked output gradient, from which score routing reads the
+surrogate below as a contraction with the kernel. Both agree in outputs
+and gradients up to float summation order.
 """
 
 from __future__ import annotations

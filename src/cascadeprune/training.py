@@ -379,12 +379,6 @@ class Trainer:
         apply_promotion(self.state, student_acc, teacher_acc,
                         self.cfg.promotion_patience, len(self.h.slots))
 
-    # -- stage runners -------------------------------------------------------
-
-    def run_joint(self, epochs: int) -> None:
-        for _ in range(epochs):
-            self.joint_epoch()
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:

@@ -647,6 +647,31 @@ class TestGammaRouting:
             for lid in grads[True][i]:
                 assert np.array_equal(grads[True][i][lid], grads[False][i][lid])
 
+    @pytest.mark.parametrize("text", [TOY, RESIDUAL_TOY, DEPTHWISE_TOY],
+                             ids=["plain", "residual", "depthwise"])
+    def test_context_pass_saves_full_width_convs(self, text):
+        """A context-saving pass of a pruned slot saves one context per
+        masked conv, whose input carries the conv's full input width
+        although the layer below is pruned, and whose output holds every
+        filter with the pruned ones exactly zero."""
+        arch = parse_arch(text)
+        h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=3)
+        rng = np.random.default_rng(4)
+        h.slots[1].state.mask = FilterMask(
+            {lid: rng.permutation(n) < n // 2
+             for lid, n in arch.maskable_sizes.items()})
+        x = rng.random((3, arch.in_c, arch.in_h, arch.in_w))
+        fw = h.forward_slot(1, x, mode="train", want_context=True)
+        convs = {st.layer.layer_id: st.layer for st in arch.plan
+                 if st.op == "conv" and st.layer.maskable}
+        assert set(fw.contexts) == set(convs)
+        for lid, ctx in fw.contexts.items():
+            mask = h.slots[1].state.mask.layers[lid]
+            assert ctx.x.shape[1] == convs[lid].cin
+            assert ctx.out.shape[1] == convs[lid].cout
+            assert not ctx.out.data[:, ~mask].any()
+            assert ctx.out.data[:, mask].any()
+
     def test_want_context_per_slot(self):
         h = toy_hierarchy()
         x, _ = batch(16)
@@ -784,6 +809,34 @@ class TestMaskRefreshAndPersistence:
         after = h.forward_frozen(x).logits.data
         assert np.array_equal(before, after)
         assert np.any(before != 0.0)
+
+    def test_frozen_teacher_reuses_its_kernels_and_memo(self):
+        h = toy_hierarchy(seed=7)
+        h.freeze_teacher()
+        x, _ = batch(16)
+        first = h.forward_frozen(x).logits.data
+        memo = h.frozen[1].memo
+        again = h.forward_frozen(x).logits.data
+        assert first.tobytes() == again.tobytes()
+        assert memo is not None and h.frozen[1].memo is memo
+
+    def test_joint_step_leaves_the_frozen_kernels_without_grad(self):
+        h = toy_hierarchy(seed=7)
+        h.freeze_teacher()
+        x, labels = batch(16)
+        teacher = h.forward_frozen(x)
+        fws = h.forward_all(x, mode="train", want_context=range(1, 3))
+        total = None
+        for i, fw in enumerate(fws):
+            t_logits = fws[i + 1].logits if i + 1 < len(fws) else teacher.logits
+            loss, _ = slot_loss(fw.logits, labels, t_logits, [], [],
+                                DistillConfig())
+            total = loss if total is None else ad.add(total, loss)
+        ad.backward(total)
+        assert h.shared_parameters()[0].value.grad is not None
+        for p in h.frozen[0].values():
+            assert not p.trainable
+            assert p.value.grad is None and p.value.node is None
 
     def test_forward_frozen_requires_freeze(self):
         h = toy_hierarchy()

@@ -259,7 +259,8 @@ class TestSupervisedEquivalence:
             data, cfg, epochs=2)
 
         trainer = Trainer(h, data, cfg)
-        trainer.run_joint(2)
+        for _ in range(2):
+            trainer.joint_epoch()
         got_losses = [r["loss"] for r in trainer.metrics.rows]
         assert len(got_losses) == len(ref_losses) == 2 * 3 * 2
         np.testing.assert_allclose(got_losses, ref_losses, rtol=1e-6)
@@ -272,7 +273,7 @@ class TestSupervisedEquivalence:
         h.freeze_teacher()
         data = toy_data(n=20)
         trainer = Trainer(h, data, quiet_config(batch_size=8))
-        trainer.run_joint(1)
+        trainer.joint_epoch()
         assert len(trainer.metrics.rows) == math.ceil(20 / 8) * 3
 
 
@@ -449,7 +450,7 @@ class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
         a = self._fresh()
         a.pretrain_top(1)
-        a.run_joint(1)
+        a.joint_epoch()
         path = str(tmp_path / "state.ckpt")
         a.save(path)
 
@@ -467,17 +468,19 @@ class TestPersistence:
     def test_resume_matches_continuous_bitwise(self, tmp_path):
         full = self._fresh()
         full.pretrain_top(1)
-        full.run_joint(3)
+        for _ in range(3):
+            full.joint_epoch()
 
         part = self._fresh()
         part.pretrain_top(1)
-        part.run_joint(1)
+        part.joint_epoch()
         path = str(tmp_path / "mid.ckpt")
         part.save(path)
 
         resumed = self._fresh()
         resumed.load(path)
-        resumed.run_joint(2)
+        for _ in range(2):
+            resumed.joint_epoch()
 
         tail = [r for r in full.metrics.rows if r["epoch"] >= 2]
         assert len(tail) == len(resumed.metrics.rows) > 0
@@ -491,13 +494,14 @@ class TestPersistence:
         from the checkpoint into the same dir must not repeat them."""
         whole = self._fresh(out_dir=str(tmp_path / "whole"))
         whole.pretrain_top(1)
-        whole.run_joint(2)
+        for _ in range(2):
+            whole.joint_epoch()
         whole.close()
 
         run_dir = tmp_path / "run"
         part = self._fresh(out_dir=str(run_dir))
         part.pretrain_top(1)
-        part.run_joint(1)
+        part.joint_epoch()
         path = str(run_dir / "mid.ckpt")
         part.save(path)
         saved_rows = len(part.metrics.rows)
@@ -516,7 +520,7 @@ class TestPersistence:
 
         resumed = self._fresh(out_dir=str(run_dir))
         resumed.load(path)
-        resumed.run_joint(1)
+        resumed.joint_epoch()
         resumed.close()
         want = (tmp_path / "whole" / "metrics.csv").read_bytes()
         assert len(killed) < len(want)
@@ -553,7 +557,7 @@ class TestPersistence:
         for name in ("a", "b"):
             t = self._fresh(out_dir=str(tmp_path / name))
             t.pretrain_top(1)
-            t.run_joint(1)
+            t.joint_epoch()
             t.close()
         assert (tmp_path / "a" / "metrics.csv").read_bytes() \
             == (tmp_path / "b" / "metrics.csv").read_bytes()
