@@ -21,6 +21,13 @@ is freed as soon as nothing below needs it. Leaves and retained tensors
 that are still alive get their grad; a later backward that reaches a
 swept interior node raises AutodiffError.
 
+Depthwise convolution is bound by memory traffic, not arithmetic: each
+of its K*K taps reads and writes an output-sized buffer. Its forward and
+both gradients therefore run over chunks of images whose padded input,
+output and scratch (about 1 MB, _DW_CHUNK_BYTES) stay in a 2 MB L2 cache,
+and every chunk adds its terms in the order one pass over the whole batch
+would, so the results do not depend on the chunk size.
+
 Layout conventions, fixed across the whole package:
   activations  (N, C, H, W)
   conv weights (K_h, K_w, C_in, C_out)
@@ -520,47 +527,147 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray, stride: int = 1,
     return _make(y, "masked_conv2d", (x, w), bwd), kernel_grad
 
 
-def _dw_forward(xp: np.ndarray, w: np.ndarray, stride: int,
-                ho: int, wo: int) -> np.ndarray:
-    """The sum over taps (i, j) of _tap(xp, i, j) * w[i, j], channels-last."""
+# Bytes of scratch one chunk of images may take in the depthwise kernels:
+# a padded input or input gradient, the output gradient or output, and
+# the tap products. Each tap reads the whole chunk twice, so the chunk is
+# sized to stay in a 2 MB L2 cache.
+_DW_CHUNK_BYTES = 1 << 20
+
+
+def _dw_images(n: int, image_values: int, dtype) -> int:
+    """How many images make one depthwise chunk, whose scratch holds
+    image_values values of dtype per image: as many as fit in
+    _DW_CHUNK_BYTES, at least one, at most n."""
+    image_bytes = max(1, image_values * np.dtype(dtype).itemsize)
+    return max(1, min(n, _DW_CHUNK_BYTES // image_bytes))
+
+
+def _dw_taps(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> list:
+    """The K*K tap slices of a padded channels-last chunk (N,H',W',C), in
+    (i, j) order. At stride 1 each is an (N, Ho, Wo*C) view, so an
+    elementwise op over it runs Wo*C values per inner loop rather than C;
+    at other strides it is _tap's (N, Ho, Wo, C) view."""
+    if stride != 1:
+        return [_tap(xp, i, j, stride, ho, wo) for i in range(k) for j in range(k)]
+    n, hp, wp, c = xp.shape
+    rows = xp.reshape(n, hp, wp * c)
+    return [rows[:, i:i + ho, j * c:(j + wo) * c] for i in range(k) for j in range(k)]
+
+
+def _dw_weights(w: np.ndarray, stride: int, wo: int) -> np.ndarray:
+    """Row t of the result multiplies tap t of _dw_taps: w[i, j] itself,
+    or at stride 1 w[i, j] repeated along the output row."""
+    k, _, c = w.shape
+    w = w.reshape(k * k, c)
+    return np.tile(w, wo) if stride == 1 else w
+
+
+def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
+                ho: int, wo: int, dtype) -> np.ndarray:
+    """The sum over taps (i, j) of _tap(x padded, i, j) * w[i, j], in NCHW,
+    one chunk of images at a time: each chunk is written into the interior
+    of one padded channels-last buffer, whose zero border every chunk
+    reuses, then summed tap by tap into an output-sized buffer through a
+    scratch of the same size."""
+    n, c, h, wd = x.shape
     k = w.shape[0]
-    y = np.empty((xp.shape[0], ho, wo, xp.shape[3]), dtype=xp.dtype)
-    tmp = np.empty_like(y)
-    np.multiply(_tap(xp, 0, 0, stride, ho, wo), w[0, 0], out=y)
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                np.multiply(_tap(xp, i, j, stride, ho, wo), w[i, j], out=tmp)
-                y += tmp
+    pt, pb, pl, pr = pads
+    hp, wp = h + pt + pb, wd + pl + pr
+    nb = _dw_images(n, (hp * wp + 2 * ho * wo) * c, dtype)
+    xp = np.zeros((nb, hp, wp, c), dtype=dtype)
+    acc = np.empty((nb, ho, wo, c), dtype=dtype)
+    tmp = np.empty_like(acc)
+    weights = _dw_weights(w, stride, wo)
+    y = np.empty((n, c, ho, wo), dtype=dtype)
+    for lo in range(0, n, nb):
+        m = min(nb, n - lo)
+        xp[:m, pt:pt + h, pl:pl + wd] = x[lo:lo + m].transpose(0, 2, 3, 1)
+        taps = _dw_taps(xp[:m], k, stride, ho, wo)
+        out, scratch = (a[:m].reshape(taps[0].shape) for a in (acc, tmp))
+        np.multiply(taps[0], weights[0], out=out)
+        for tap, wt in zip(taps[1:], weights[1:]):
+            np.multiply(tap, wt, out=scratch)
+            out += scratch
+        y[lo:lo + m] = acc[:m].transpose(0, 3, 1, 2)
     return y
 
 
-def _dw_kernel_grad(xp: np.ndarray, gt: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """gw[i, j] = sum of _tap(xp, i, j) * gt over batch and positions."""
-    _, ho, wo, c = gt.shape
-    gw = np.empty((k, k, c), dtype=gt.dtype)
-    tmp = np.empty_like(gt)
-    for i in range(k):
-        for j in range(k):
-            np.multiply(_tap(xp, i, j, stride, ho, wo), gt, out=tmp)
-            gw[i, j] = tmp.sum(axis=(0, 1, 2))
-    return gw
+def _dw_kernel_grad(x: np.ndarray, g: np.ndarray, k: int, stride: int,
+                    pads: tuple) -> np.ndarray:
+    """gw[i, j] = the sum of _tap(x padded, i, j) * g over the batch and
+    the output pixels, (K,K,C), one chunk of images at a time.
+
+    For kernel row i, the K products of taps (i, 0..K-1) sit side by side
+    in one (1 + rows, K*C) buffer, rows = images * Ho * Wo: the taps of a
+    row read K*C contiguous values of the padded input per output pixel,
+    against g repeated K times. The buffer is reduced over its rows in one
+    call, and numpy sums that axis row by row, in order. Row 0 carries the
+    previous chunks' sums into the next chunk's sum, so every sum adds its
+    terms in the same order as one sum over the whole batch. A single
+    channel is the exception: one pass sums each tap's products as one
+    contiguous run, pairwise, so with C == 1 the batch is one chunk and
+    each tap's products are summed as such a run."""
+    n, c, h, wd = x.shape
+    _, _, ho, wo = g.shape
+    if n == 0:
+        return np.zeros((k, k, c), dtype=g.dtype)
+    pt, pb, pl, pr = pads
+    hp, wp = h + pt + pb, wd + pl + pr
+    nb = n if c == 1 else _dw_images(n, (hp * wp + 2 * k * ho * wo) * c, g.dtype)
+    xp = np.zeros((nb, hp, wp, c), dtype=x.dtype)
+    gk = np.empty((nb, ho, wo, k, c), dtype=g.dtype)
+    prods = np.empty((1 + nb * ho * wo, k * c), dtype=g.dtype)
+    s0, s1, s2, s3 = xp.strides
+    sums = [None] * k
+    for lo in range(0, n, nb):
+        m = min(nb, n - lo)
+        rows = m * ho * wo
+        xp[:m, pt:pt + h, pl:pl + wd] = x[lo:lo + m].transpose(0, 2, 3, 1)
+        gk[:m] = g[lo:lo + m].transpose(0, 2, 3, 1)[:, :, :, None, :]
+        out = prods[1:1 + rows].reshape(m, ho, wo, k * c)
+        for i in range(k):
+            # the K*C input values that taps (i, 0..K-1) read per output pixel
+            window = np.lib.stride_tricks.as_strided(
+                xp[:m, i:], shape=(m, ho, wo, k * c),
+                strides=(s0, stride * s1, stride * s2, s3), writeable=False)
+            np.multiply(window, gk[:m].reshape(m, ho, wo, k * c), out=out)
+            if c == 1:
+                sums[i] = np.ascontiguousarray(prods[1:].T).sum(axis=1)
+            elif sums[i] is None:
+                sums[i] = prods[1:1 + rows].sum(axis=0)
+            else:
+                prods[0] = sums[i]
+                sums[i] = prods[:1 + rows].sum(axis=0)
+    return np.stack(sums).reshape(k, k, c)
 
 
-def _dw_input_grad(gt: np.ndarray, w: np.ndarray, padded_shape: tuple,
-                   stride: int) -> np.ndarray:
-    """The padded channels-last input gradient: each tap scatters
-    gt * w[i, j] back onto the slice it read."""
-    _, ho, wo, _ = gt.shape
+def _dw_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int,
+                   pads: tuple) -> np.ndarray:
+    """The (N,C,H,W) input gradient, one chunk of images at a time: each
+    tap adds g * w[i, j] onto the slice of a zeroed padded channels-last
+    buffer that it read, and the buffer's interior goes back to NCHW."""
+    n, c, h, wd = x_shape
+    _, _, ho, wo = g.shape
     k = w.shape[0]
-    gxp = np.zeros(padded_shape, dtype=gt.dtype)
+    pt, pb, pl, pr = pads
+    hp, wp = h + pt + pb, wd + pl + pr
+    nb = _dw_images(n, (hp * wp + 2 * ho * wo) * c, g.dtype)
+    gxp = np.empty((nb, hp, wp, c), dtype=g.dtype)
+    gt = np.empty((nb, ho, wo, c), dtype=g.dtype)
     tmp = np.empty_like(gt)
-    for i in range(k):
-        for j in range(k):
-            np.multiply(gt, w[i, j], out=tmp)
-            window = _tap(gxp, i, j, stride, ho, wo)
-            window += tmp
-    return gxp
+    weights = _dw_weights(w, stride, wo)
+    gx = np.empty(x_shape, dtype=g.dtype)
+    for lo in range(0, n, nb):
+        m = min(nb, n - lo)
+        gxp[:m] = 0
+        gt[:m] = g[lo:lo + m].transpose(0, 2, 3, 1)
+        windows = _dw_taps(gxp[:m], k, stride, ho, wo)
+        src, scratch = (a[:m].reshape(windows[0].shape) for a in (gt, tmp))
+        for window, wt in zip(windows, weights):
+            np.multiply(src, wt, out=scratch)
+            window += scratch
+        gx[lo:lo + m] = gxp[:m, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2)
+    return gx
 
 
 def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
@@ -569,12 +676,13 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     the output only sees channel c of the input.
 
     Computed as a sum over the K*K kernel taps of shifted slices,
-    y += x[:, :, i::s, j::s] * w[i, j], with one output-sized scratch
-    buffer reused by every tap. The taps run on a padded channels-last
-    copy of x, so each tap's slice is a run of W*C contiguous values per
-    row rather than W values, which keeps small feature maps fast. Extra
-    memory is O(input + output), never K*K times the input. The result is
-    C-contiguous, in the operands' common dtype.
+    y += x[:, :, i::s, j::s] * w[i, j], on a padded channels-last copy of
+    x, so that each tap's slice is a run of Wo*C values per row. Each tap
+    reads and writes the whole output, so the batch is run in chunks of
+    images whose padded input, output and scratch fit in L2 cache
+    (_DW_CHUNK_BYTES): one chunk's buffers are allocated once and reused
+    by every chunk. The result is C-contiguous, in the operands' common
+    dtype, and does not depend on the chunk size.
     """
     n, c, h, wd = x.shape
     kh, kw, cw = w.shape
@@ -583,34 +691,29 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     if cw != c:
         raise ShapeError(f"input has {c} channels but kernel expects {cw}")
     pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-    dtype = np.result_type(x.dtype, w.dtype)
-    y = _dw_forward(_channels_last_padded(x, pads, dtype), w, stride, ho, wo)
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    return _dw_forward(x, w, stride, pads, ho, wo, np.result_type(x.dtype, w.dtype))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
                      padding: str = "same") -> Tensor:
-    """Depthwise conv, no bias. x: (N,C,H,W), w: (K,K,C)."""
+    """Depthwise conv, no bias. x: (N,C,H,W), w: (K,K,C). The backward
+    runs in chunks of images as the forward does (_dw_kernel_grad,
+    _dw_input_grad), and its gradients do not depend on the chunk size."""
     _check_same_dtype(x, w)
-    n, c, h, wd = x.shape
+    _, _, h, wd = x.shape
     kh = w.shape[0]
     y = depthwise_conv2d_raw(x.data, w.data, stride, padding)
-    pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-    pt, pb, pl, pr = pads
+    pads, _, _ = _conv_geometry(h, wd, kh, stride, padding)
+    x_shape = x.shape
     x_data = x.data if w.requires_grad else None
     w_data = w.data if x.requires_grad else None
 
     def bwd(g: np.ndarray):
         gx = gw = None
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if x_data is not None:
-            gw = _dw_kernel_grad(_channels_last_padded(x_data, pads, x_data.dtype),
-                                 gt, kh, stride)
+            gw = _dw_kernel_grad(x_data, g, kh, stride, pads)
         if w_data is not None:
-            gxp = _dw_input_grad(gt, w_data, (n, h + pt + pb, wd + pl + pr, c),
-                                 stride)
-            gx = np.ascontiguousarray(
-                gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2))
+            gx = _dw_input_grad(g, w_data, x_shape, stride, pads)
         return gx, gw
 
     return _make(y, "depthwise_conv2d", (x, w), bwd)
@@ -622,13 +725,17 @@ def take(x: Tensor, index: np.ndarray, axis: int) -> Tensor:
 
     The gradient is gathered, not scattered: g gets a zero slice appended
     along the axis, and every position outside index reads that slice. A
-    scatter along the last axis writes one value at a time."""
+    scatter along the last axis writes one value at a time. The map from
+    x's positions to g's is built by the backward, so a pass without the
+    tape never pays for it."""
     index = np.asarray(index, dtype=np.intp)
+    axis = range(x.data.ndim)[axis]  # a negative axis counts from the end
     y = np.take(x.data, index, axis=axis)
-    source = np.full(x.shape[axis], len(index), dtype=np.intp)
-    source[index] = np.arange(len(index))
+    size = x.shape[axis]
 
     def bwd(g: np.ndarray):
+        source = np.full(size, len(index), dtype=np.intp)
+        source[index] = np.arange(len(index))
         pad = g.shape[:axis] + (1,) + g.shape[axis + 1:]
         padded = np.concatenate([g, np.zeros(pad, dtype=g.dtype)], axis=axis)
         return (np.take(padded, source, axis=axis),)
@@ -641,6 +748,7 @@ def place(x: Tensor, index: np.ndarray, size: int, axis: int) -> Tensor:
     tensor with size entries there; the inverse of take. The gradient
     gathers those positions back."""
     index = np.asarray(index, dtype=np.intp)
+    axis = range(x.data.ndim)[axis]  # a negative axis counts from the end
     shape = x.shape[:axis] + (size,) + x.shape[axis + 1:]
     y = np.zeros(shape, dtype=x.dtype)
     y[(slice(None),) * axis + (index,)] = x.data

@@ -430,9 +430,10 @@ def cmd_export(args) -> int:
                     "kept_pct", "pruned_pct"])
         for slot in range(slot_count):
             mask = _mask_from_checkpoint(tensors, ckpt_path, arch, slot)
+            kept_per_layer = mask.kept_per_layer()
             for lid in sorted(mask.layers):
                 total = mask.layers[lid].size
-                kept = int(mask.layers[lid].sum())
+                kept = kept_per_layer[lid]
                 w.writerow([slot, lid, total, kept, total - kept,
                             f"{100.0 * kept / total:.2f}",
                             f"{100.0 * (total - kept) / total:.2f}"])

@@ -54,7 +54,7 @@ from .arch import ArchSpec, ConvL, DWConvL, PoolL
 from .autodiff import BatchNormState, Parameter, Tensor
 from .masking import (FilterMask, ImportanceScores, PruneConfig, build_mask,
                       contract_kernel_grad)
-# not called here: bench/tracing.py wraps this name (ROADMAP item 5 drops it)
+# not called here: bench/tracing.py wraps this name (ROADMAP item 1 drops it)
 from .masking import surrogate_gamma_grad  # noqa: F401
 
 

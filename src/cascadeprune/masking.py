@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import conv2d_kernel_grad
-# not called here: bench/tracing.py wraps this name (ROADMAP item 5 drops it)
+# not called here: bench/tracing.py wraps this name (ROADMAP item 1 drops it)
 from .autodiff import conv2d_raw  # noqa: F401
 
 

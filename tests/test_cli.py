@@ -13,6 +13,7 @@ import yaml
 
 from cascadeprune.checkpoint import load_checkpoint, save_checkpoint
 from cascadeprune.cli import _stage_epochs, main
+from cascadeprune.masking import FilterMask
 
 TINY_ARCH = """\
 input c=1 h=8 w=8
@@ -334,6 +335,21 @@ class TestExport:
         assert "joint" in stages and "student_finetune" in stages
         for r in rows:
             float(r["mean_loss"]), float(r["mean_accuracy"])
+
+    def test_kept_column_is_kept_per_layer(self, trained_run, tiny_arch):
+        """Each slot's kept counts are its checkpointed mask's
+        kept_per_layer(), row by row."""
+        assert main(["export", trained_run, "--arch", tiny_arch]) == 0
+        rows = list(csv.DictReader(
+            open(os.path.join(trained_run, "mask_histogram.csv"))))
+        tensors, _ = load_checkpoint(os.path.join(trained_run, "latest.ckpt"))
+        for slot in range(3):
+            prefix = f"slot{slot}.mask."
+            mask = FilterMask({int(k[len(prefix):]): v for k, v in tensors.items()
+                               if k.startswith(prefix)})
+            got = {int(r["layer_id"]): int(r["kept"]) for r in rows
+                   if r["slot"] == str(slot)}
+            assert got == mask.kept_per_layer()
 
     def test_reads_the_checkpoint_once(self, trained_run, tiny_arch,
                                        monkeypatch):

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cascadeprune.autodiff as ad
 import oracles
@@ -314,6 +315,43 @@ class TestDepthwiseConv:
         assert x.grad is not None and w.grad is not None
         assert peak < 6 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
+    @staticmethod
+    def forward_and_grads(x, w, g, stride, pad, chunk_bytes):
+        """The output and both gradients, with the kernels' chunk size
+        set to chunk_bytes."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_DW_CHUNK_BYTES", chunk_bytes)
+            y = ad.depthwise_conv2d(ad.Tensor(x, requires_grad=True),
+                                    ad.Tensor(w, requires_grad=True),
+                                    stride=stride, padding=pad)
+            return (y.data, *y.node.backward(g))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_chunks_do_not_change_a_bit(self, data):
+        """Run in chunks of a few images, the forward and both gradients
+        are byte for byte those of a run in one chunk."""
+        n = data.draw(st.sampled_from([1, 2, 5, 7, 11]), label="n")
+        c = data.draw(st.integers(1, 70), label="c")
+        k = data.draw(st.integers(1, 5), label="k")
+        pad = data.draw(st.sampled_from(["same", "valid"]), label="pad")
+        lo = k if pad == "valid" else 1
+        h = data.draw(st.integers(lo, 9), label="h")
+        wd = data.draw(st.integers(lo, 9), label="w")
+        stride = data.draw(st.integers(1, 3), label="stride")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        chunk = data.draw(st.sampled_from([1, 2048, 16384]), label="chunk_bytes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal((n, c, h, wd)).astype(dtype)
+        w = rng.standard_normal((k, k, c)).astype(dtype)
+        _, ho, wo = ad._conv_geometry(h, wd, k, stride, pad)
+        g = rng.standard_normal((n, c, ho, wo)).astype(dtype)
+        whole = self.forward_and_grads(x, w, g, stride, pad, 1 << 40)
+        chunked = self.forward_and_grads(x, w, g, stride, pad, chunk)
+        for name, a, b in zip(("y", "gx", "gw"), whole, chunked):
+            assert a.dtype == b.dtype == dtype and b.flags.c_contiguous, name
+            assert a.tobytes() == b.tobytes(), name
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.depthwise_conv2d(ad.Tensor(np.zeros((1, 3, 4, 4))),
@@ -471,6 +509,50 @@ class TestTake:
         want[(slice(None),) * axis + (index,)] = g
         assert_f32_c_order(y.data, x.grad)
         assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
+
+    AXES = [(axis, index) for axis in (-1, 0, 1, 2, 3)
+            for index in ([1, 2], [], [0, 2, 3])]
+
+    @staticmethod
+    def scattered(values, index, size, axis):
+        """values placed at index along axis of a zero array, by hand."""
+        shape = list(values.shape)
+        shape[axis] = size
+        out = np.zeros(shape, dtype=values.dtype)
+        np.moveaxis(out, axis, 0)[index] = np.moveaxis(values, axis, 0)
+        return out
+
+    @pytest.mark.parametrize("axis,index", AXES)
+    def test_take_gradient_on_any_axis(self, axis, index):
+        """A negative axis counts from the end, in the gradient too."""
+        rng = np.random.default_rng(36)
+        shape = (4, 5, 4, 6)
+        x = ad.Tensor(rng.standard_normal(shape).astype(np.float32),
+                      requires_grad=True)
+        index = np.array(index, dtype=np.intp)
+        y = ad.take(x, index, axis)
+        assert np.array_equal(y.data, np.take(x.data, index, axis=axis))
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        backward_of(y, g)
+        want = self.scattered(g, index, shape[axis], axis)
+        assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("axis,index", AXES)
+    def test_place_on_any_axis(self, axis, index):
+        """place scatters into zeros on every axis; its gradient is g
+        gathered back at index."""
+        rng = np.random.default_rng(37)
+        shape = [4, 5, 4, 6]
+        shape[axis] = len(index)
+        x = ad.Tensor(rng.standard_normal(shape).astype(np.float32),
+                      requires_grad=True)
+        index = np.array(index, dtype=np.intp)
+        y = ad.place(x, index, 7, axis)
+        want = self.scattered(x.data, index, 7, axis)
+        assert np.array_equal(y.data.view(np.uint32), want.view(np.uint32))
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        backward_of(y, g)
+        assert np.array_equal(x.grad, np.take(g, index, axis=axis))
 
 
 class TestBatchNormKernel:
