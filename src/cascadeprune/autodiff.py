@@ -26,7 +26,10 @@ of its K*K taps reads and writes an output-sized buffer. Its forward and
 both gradients therefore run over chunks of images whose padded input,
 output and scratch (about 1 MB, _DW_CHUNK_BYTES) stay in a 2 MB L2 cache,
 and every chunk adds its terms in the order one pass over the whole batch
-would, so the results do not depend on the chunk size.
+would, so the results do not depend on the chunk size. The chunk's
+buffers start on a cache line (_line_aligned): where malloc puts them
+otherwise varies from one process to the next, and the kernels' speed
+with it.
 
 Layout conventions, fixed across the whole package:
   activations  (N, C, H, W)
@@ -39,6 +42,7 @@ No layer carries a bias term.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -533,6 +537,24 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray, stride: int = 1,
 # sized to stay in a 2 MB L2 cache.
 _DW_CHUNK_BYTES = 1 << 20
 
+# A cache line. A buffer that malloc places off a line boundary makes
+# every SIMD load of it straddle two lines, which slows an L2-resident
+# loop by up to 2x, and where malloc places it varies from run to run.
+_LINE_BYTES = 64
+
+
+def _line_aligned(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
+    """A C-contiguous array of shape and dtype whose data starts on a
+    cache-line boundary; zero-filled if zero, else uninitialised."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + _LINE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % _LINE_BYTES
+    out = raw[start:start + nbytes].view(dtype).reshape(shape)
+    if zero:
+        out.fill(0)
+    return out
+
 
 def _dw_images(n: int, image_values: int, dtype) -> int:
     """How many images make one depthwise chunk, whose scratch holds
@@ -559,7 +581,10 @@ def _dw_weights(w: np.ndarray, stride: int, wo: int) -> np.ndarray:
     or at stride 1 w[i, j] repeated along the output row."""
     k, _, c = w.shape
     w = w.reshape(k * k, c)
-    return np.tile(w, wo) if stride == 1 else w
+    reps = wo if stride == 1 else 1
+    rows = _line_aligned((k * k, reps, c), w.dtype)
+    rows[:] = w[:, None]
+    return rows.reshape(k * k, reps * c)
 
 
 def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
@@ -574,9 +599,9 @@ def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
     pt, pb, pl, pr = pads
     hp, wp = h + pt + pb, wd + pl + pr
     nb = _dw_images(n, (hp * wp + 2 * ho * wo) * c, dtype)
-    xp = np.zeros((nb, hp, wp, c), dtype=dtype)
-    acc = np.empty((nb, ho, wo, c), dtype=dtype)
-    tmp = np.empty_like(acc)
+    xp = _line_aligned((nb, hp, wp, c), dtype, zero=True)
+    acc = _line_aligned((nb, ho, wo, c), dtype)
+    tmp = _line_aligned((nb, ho, wo, c), dtype)
     weights = _dw_weights(w, stride, wo)
     y = np.empty((n, c, ho, wo), dtype=dtype)
     for lo in range(0, n, nb):
@@ -614,9 +639,9 @@ def _dw_kernel_grad(x: np.ndarray, g: np.ndarray, k: int, stride: int,
     pt, pb, pl, pr = pads
     hp, wp = h + pt + pb, wd + pl + pr
     nb = n if c == 1 else _dw_images(n, (hp * wp + 2 * k * ho * wo) * c, g.dtype)
-    xp = np.zeros((nb, hp, wp, c), dtype=x.dtype)
-    gk = np.empty((nb, ho, wo, k, c), dtype=g.dtype)
-    prods = np.empty((1 + nb * ho * wo, k * c), dtype=g.dtype)
+    xp = _line_aligned((nb, hp, wp, c), x.dtype, zero=True)
+    gk = _line_aligned((nb, ho, wo, k, c), g.dtype)
+    prods = _line_aligned((1 + nb * ho * wo, k * c), g.dtype)
     s0, s1, s2, s3 = xp.strides
     sums = [None] * k
     for lo in range(0, n, nb):
@@ -652,9 +677,9 @@ def _dw_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int,
     pt, pb, pl, pr = pads
     hp, wp = h + pt + pb, wd + pl + pr
     nb = _dw_images(n, (hp * wp + 2 * ho * wo) * c, g.dtype)
-    gxp = np.empty((nb, hp, wp, c), dtype=g.dtype)
-    gt = np.empty((nb, ho, wo, c), dtype=g.dtype)
-    tmp = np.empty_like(gt)
+    gxp = _line_aligned((nb, hp, wp, c), g.dtype)
+    gt = _line_aligned((nb, ho, wo, c), g.dtype)
+    tmp = _line_aligned((nb, ho, wo, c), g.dtype)
     weights = _dw_weights(w, stride, wo)
     gx = np.empty(x_shape, dtype=g.dtype)
     for lo in range(0, n, nb):
@@ -680,9 +705,9 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     x, so that each tap's slice is a run of Wo*C values per row. Each tap
     reads and writes the whole output, so the batch is run in chunks of
     images whose padded input, output and scratch fit in L2 cache
-    (_DW_CHUNK_BYTES): one chunk's buffers are allocated once and reused
-    by every chunk. The result is C-contiguous, in the operands' common
-    dtype, and does not depend on the chunk size.
+    (_DW_CHUNK_BYTES): one chunk's buffers are allocated once, on a cache
+    line, and reused by every chunk. The result is C-contiguous, in the
+    operands' common dtype, and does not depend on the chunk size.
     """
     n, c, h, wd = x.shape
     kh, kw, cw = w.shape

@@ -352,6 +352,17 @@ class TestDepthwiseConv:
             assert a.dtype == b.dtype == dtype and b.flags.c_contiguous, name
             assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (2, 1, 4), (3, 5, 7), (33, 17)])
+    def test_scratch_starts_on_a_cache_line(self, shape, dtype):
+        """The kernels' chunk buffers start on a cache line wherever malloc
+        puts the allocation, and zero=True hands them out zero-filled."""
+        for _ in range(8):  # successive allocations land at different offsets
+            a = ad._line_aligned(shape, dtype, zero=True)
+            assert a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
+            assert a.ctypes.data % ad._LINE_BYTES == 0
+            assert not a.any()
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.depthwise_conv2d(ad.Tensor(np.zeros((1, 3, 4, 4))),
