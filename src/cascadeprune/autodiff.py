@@ -21,6 +21,22 @@ is freed as soon as nothing below needs it. Leaves and retained tensors
 that are still alive get their grad; a later backward that reaches a
 swept interior node raises AutodiffError.
 
+A conv is an im2col GEMM: a patch matrix of K*K shifted copies of the
+input times the kernel. Built for the whole batch, that matrix is K*K
+times the input (75 MB for a 64-channel 32x32 layer at batch 32). The
+forward and the input gradient therefore run over chunks of whole
+images (_conv_chunks) whose patch matrix holds at least the 2 MB of L2
+cache and at least four times the kernel, which the GEMM packs once per
+chunk; where a chunk would be half the batch or more, the layer is one
+GEMM. Where the patch matrix would be large, the kernel gradient is one
+GEMM per tap (tap^T @ rows), each reducing over the whole batch. A GEMM
+split this way keeps every bit only if no part's M*K*N is at or below
+100^3 (_BLAS_SMALL_MNK): OpenBLAS sends such products to small-matrix
+kernels that sum in another order. Its float64 kernel also sums the last
+columns of a wide product in an order that depends on the rows around
+them, so only float32 GEMMs are split, and every part stays above the
+bound: the results are those of one GEMM over the whole batch.
+
 Depthwise convolution is bound by memory traffic, not arithmetic: each
 of its K*K taps reads and writes an output-sized buffer. Its forward and
 both gradients therefore run over chunks of images whose padded input,
@@ -340,52 +356,131 @@ def _tap(xp: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.nd
     return xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
 
 
+def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (N, Ho, Wo, K, K, C) view of a padded channels-last input in
+    which [b, a, c] is the window that output pixel (a, c) of image b
+    reads; each window row is a run of K*C contiguous input values."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return windows[:, :stride * ho:stride, :stride * wo:stride].transpose(0, 1, 2, 4, 5, 3)
+
+
 def _patches(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """The (N*Ho*Wo, K*K*C) patch matrix of a padded channels-last input.
 
     Row (b, a, c) holds what output pixel (a, c) of image b reads, tap by
     tap, so its column order (i, j, channel) matches a (K,K,Cin,Cout)
-    kernel reshaped to (K*K*Cin, Cout). It is one copy of the strided
-    window view, transposed to (N, Ho, Wo, K, K, C): each window row is a
-    run of K*C contiguous input values. A 1x1 stride-1 conv reads every
-    pixel once: the input itself is the patch matrix, and no copy is made.
+    kernel reshaped to (K*K*Cin, Cout). It is one copy of _windows. A 1x1
+    stride-1 conv reads every pixel once: the input itself is the patch
+    matrix, and no copy is made.
     """
     n, _, _, c = xp.shape
     if k == 1 and stride == 1:
         return xp.reshape(n * ho * wo, c)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, :stride * ho:stride, :stride * wo:stride]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    cols = np.ascontiguousarray(_windows(xp, k, stride, ho, wo))
     return cols.reshape(n * ho * wo, k * k * c)
 
 
-def _scatter_patches(gcols: np.ndarray, x_shape: tuple, k: int, stride: int,
-                     pads: tuple, ho: int, wo: int) -> np.ndarray:
-    """The inverse of _patches for gradients: each tap's columns of gcols
-    are added back onto the input pixels they were read from. Returns the
-    (N,C,H,W) input gradient. gcols is released before the final copy."""
-    n, c, h, w = x_shape
-    pt, pb, pl, pr = pads
-    if k == 1 and stride == 1:
-        gxp = gcols.reshape(n, h, w, c)
-    else:
-        gcols = gcols.reshape(n, ho, wo, k, k, c)
-        gxp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=gcols.dtype)
-        for i in range(k):
-            for j in range(k):
-                window = _tap(gxp, i, j, stride, ho, wo)
-                window += gcols[:, :, :, i, j]
-    del gcols
-    return np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + w].transpose(0, 3, 1, 2))
+def _scatter_patches(gcols: np.ndarray, gxp: np.ndarray, k: int, stride: int,
+                     ho: int, wo: int) -> None:
+    """The inverse of _patches for gradients: adds each tap's columns of
+    gcols (N*Ho*Wo, K*K*C) onto the pixels of the padded channels-last
+    gradient gxp (N,H',W',C) that the tap read, tap by tap in (i, j)
+    order. Each image's pixels see the same additions in the same order
+    whichever images share the call."""
+    n, _, _, c = gxp.shape
+    gcols = gcols.reshape(n, ho, wo, k, k, c)
+    for i in range(k):
+        for j in range(k):
+            window = _tap(gxp, i, j, stride, ho, wo)
+            window += gcols[:, :, :, i, j]
+
+
+# The im2col kernels run over chunks of whole images whose patch matrix
+# holds at least _CONV_CHUNK_BYTES, the size of a 2 MB L2 cache, and at
+# least _CONV_KERNEL_REUSE times the kernel's bytes: the GEMM packs the
+# kernel once per chunk, so a chunk four times its size keeps that cost
+# small.
+_CONV_CHUNK_BYTES = 2 << 20
+_CONV_KERNEL_REUSE = 4
+
+# OpenBLAS computes a GEMM whose M*K*N is at most this with small-matrix
+# kernels, which sum in another order than its blocked ones. A GEMM split
+# into parts by rows keeps every bit of the whole only if each part's
+# M*K*N is above it.
+_BLAS_SMALL_MNK = 100 ** 3
+
+# The kernel gradient runs one GEMM per tap where the whole patch matrix
+# would take at least this many bytes. Below it, a stem's few input
+# channels make the K*K tap GEMMs slower than one GEMM.
+_TAP_GRAD_BYTES = 16 << 20
+
+
+def _conv_chunks(n: int, pixels: int, kkc: int, cout: int, dtype) -> list:
+    """The (lo, hi) image ranges that conv2d_raw and _conv_input_grad run
+    over, for a batch of n images of `pixels` output pixels each, a patch
+    matrix of kkc columns, cout filters and values of dtype.
+
+    A chunk is at least the fewest images whose patch matrix holds
+    max(_CONV_CHUNK_BYTES, _CONV_KERNEL_REUSE * the kernel's bytes) and
+    whose GEMMs have M*K*N above _BLAS_SMALL_MNK; the batch is split
+    into as many such chunks as it holds, of near-equal size. It is one
+    chunk where that chunk would be half the batch or more, where a GEMM
+    would have a single column (numpy computes a matrix-vector product
+    with gemv, whose sums a split by rows may reorder), and for any dtype
+    but float32: OpenBLAS's float64 kernel sums the last N % 8 columns of
+    a product wider than 192 in an order that depends on the rows around
+    them, so a float64 GEMM split by rows is not bitwise the whole."""
+    per_image = pixels * kkc * cout
+    if dtype != np.float32 or min(kkc, cout) < 2:
+        return [(0, n)]
+    itemsize = np.dtype(dtype).itemsize
+    target = max(_CONV_CHUNK_BYTES, _CONV_KERNEL_REUSE * kkc * cout * itemsize)
+    images = max(-(-target // (pixels * kkc * itemsize)),
+                 _BLAS_SMALL_MNK // per_image + 1)
+    if 2 * images >= n:
+        return [(0, n)]
+    count = n // images
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def _tap_grad(rows: int, cin: int, cout: int, k: int, dtype) -> bool:
+    """Whether _kernel_grad runs one GEMM per tap: for float32 (see
+    _conv_chunks), where the patch matrix of rows output pixels would
+    take _TAP_GRAD_BYTES or more, and each tap's GEMM has two or more
+    rows and columns and M*K*N above _BLAS_SMALL_MNK, so that it keeps
+    the bits of the one GEMM."""
+    return (dtype == np.float32 and k > 1 and min(cin, cout) >= 2
+            and rows * k * k * cin * np.dtype(dtype).itemsize >= _TAP_GRAD_BYTES
+            and rows * cin * cout > _BLAS_SMALL_MNK)
 
 
 def _kernel_grad(x: np.ndarray, rows: np.ndarray, k: int, stride: int,
                  pads: tuple, ho: int, wo: int) -> np.ndarray:
     """The kernel gradient of a conv, (K,K,Cin,Cout), from its input x
-    (N,C,H,W) and its output gradient as rows (N*Ho*Wo, Cout): one GEMM,
-    patches^T @ rows, with the patch matrix rebuilt from x."""
-    cols = _patches(_channels_last_padded(x, pads, x.dtype), k, stride, ho, wo)
-    return (cols.T @ rows).reshape(k, k, x.shape[1], rows.shape[1])
+    (N,C,H,W) and its output gradient as rows (N*Ho*Wo, Cout):
+    patches^T @ rows, with the patch matrix rebuilt from x.
+
+    Where _tap_grad holds, tap (i, j) of the result is its own GEMM,
+    tap^T @ rows, on one reused (N*Ho*Wo, Cin) copy of the tap's slice,
+    instead of one GEMM on the K*K times larger patch matrix. Each is a
+    block of rows of the one GEMM's result, summed over the same whole
+    batch, so the two give the same bits."""
+    n, cin = x.shape[:2]
+    cout = rows.shape[1]
+    dtype = np.result_type(x.dtype, rows.dtype)
+    xp = _channels_last_padded(x, pads, x.dtype)
+    if not _tap_grad(rows.shape[0], cin, cout, k, dtype):
+        cols = _patches(xp, k, stride, ho, wo)
+        del xp  # a copy unless the conv is 1x1, stride 1
+        return (cols.T @ rows).reshape(k, k, cin, cout)
+    gw = np.empty((k, k, cin, cout), dtype=dtype)
+    tap = _line_aligned((n, ho, wo, cin), x.dtype)
+    taps = tap.reshape(n * ho * wo, cin).T
+    for i in range(k):
+        for j in range(k):
+            tap[:] = _tap(xp, i, j, stride, ho, wo)
+            np.matmul(taps, rows, out=gw[i, j])
+    return gw
 
 
 def _grad_rows(g: np.ndarray) -> np.ndarray:
@@ -396,7 +491,7 @@ def _grad_rows(g: np.ndarray) -> np.ndarray:
 
 def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray, w_shape: tuple,
                        stride: int = 1, padding: str = "same") -> np.ndarray:
-    """dL/dw of conv2d(x, w) for the output gradient g: the same GEMM as
+    """dL/dw of conv2d(x, w) for the output gradient g: the same GEMMs as
     the conv backward and the masked conv's kept kernel gradient, so all
     three agree bitwise on identical inputs."""
     n, _, h, wd = x.shape
@@ -413,13 +508,19 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     """Plain-array cross-correlation; the single kernel behind every conv
     forward. x (N,C,H,W), w (K,K,Cin,Cout) -> (N,Cout,Ho,Wo).
 
-    One GEMM: x is copied once into a zero-padded channels-last array, its
-    K*K tap slices fill an (N*Ho*Wo, K*K*Cin) patch matrix (a 1x1 stride-1
-    conv uses the padded copy as is), and that matrix is multiplied by the
-    kernel reshaped to (K*K*Cin, Cout). The result is transposed back to
-    NCHW, C-contiguous, in the operands' common dtype.
+    An im2col GEMM: x is copied into a zero-padded channels-last array,
+    its K*K tap slices fill a (rows, K*K*Cin) patch matrix (a 1x1
+    stride-1 conv uses the padded copy as is), and that matrix is
+    multiplied by the kernel reshaped to (K*K*Cin, Cout). Where
+    _conv_chunks splits the batch, these steps run chunk by chunk: each
+    chunk fills the interior of one padded buffer, whose zero border every
+    chunk reuses, and one chunk-sized patch matrix, and its product is
+    written to the output in NCHW; the buffers are allocated once per
+    call, on a cache line. The result is C-contiguous, in the operands'
+    common dtype, and bitwise that of one GEMM over the whole batch.
 
-    Every conv op calls this function by its module-level name.
+    Every conv op calls this function once, with the whole batch, by its
+    module-level name.
     """
     n, c, h, wd = x.shape
     kh, kw, cin, cout = w.shape
@@ -428,28 +529,84 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     if cin != c:
         raise ShapeError(f"conv input has {c} channels but kernel expects {cin}")
     pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
+    pt, pb, pl, pr = pads
     dtype = np.result_type(x.dtype, w.dtype)
-    cols = _patches(_channels_last_padded(x, pads, dtype), kh, stride, ho, wo)
-    y = cols @ w.reshape(kh * kh * cin, cout)
-    return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+    kernel = w.reshape(kh * kh * cin, cout).astype(dtype, copy=False)
+    chunks = _conv_chunks(n, ho * wo, kh * kh * cin, cout, dtype)
+    if len(chunks) == 1:  # one GEMM, in fresh arrays: cheaper than the buffers
+        cols = _patches(_channels_last_padded(x, pads, dtype), kh, stride, ho, wo)
+        y = cols @ kernel
+        return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+    nb = max(hi - lo for lo, hi in chunks)
+    xp = _line_aligned((nb, h + pt + pb, wd + pl + pr, c), dtype, zero=any(pads))
+    direct = kh == 1 and stride == 1
+    cols = None if direct else _line_aligned((nb * ho * wo, kh * kh * cin), dtype)
+    out = _line_aligned((nb * ho * wo, cout), dtype)
+    y = np.empty((n, cout, ho, wo), dtype=dtype)
+    for lo, hi in chunks:
+        m = hi - lo
+        rows = m * ho * wo
+        xp[:m, pt:pt + h, pl:pl + wd] = x[lo:hi].transpose(0, 2, 3, 1)
+        if direct:
+            patches = xp[:m].reshape(rows, c)
+        else:
+            patches = cols[:rows]
+            patches.reshape(m, ho, wo, kh, kh, c)[:] = _windows(xp[:m], kh, stride, ho, wo)
+        np.matmul(patches, kernel, out=out[:rows])
+        y[lo:hi] = out[:rows].reshape(m, ho, wo, cout).transpose(0, 3, 1, 2)
+    return y
 
 
 def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
                      stride: int, pads: tuple, ho: int, wo: int) -> np.ndarray:
-    """The input gradient of a conv: rows @ W^T scattered back tap by tap."""
+    """The input gradient of a conv, (N,C,H,W): gcols = rows @ W^T,
+    scattered back tap by tap onto a zeroed padded channels-last array
+    whose interior is the result in NCHW (a 1x1 stride-1 conv's gcols is
+    that array). Where _conv_chunks splits the batch, this runs over the
+    forward's chunks of images, in one chunk-sized gcols buffer and one
+    padded buffer, zeroed per chunk, allocated once per call on a cache
+    line. The result is bitwise that of one GEMM over the whole batch."""
+    n, c, h, wd = x_shape
     k, _, cin, cout = w.shape
-    return _scatter_patches(rows @ w.reshape(k * k * cin, cout).T, x_shape, k,
-                            stride, pads, ho, wo)
+    pt, pb, pl, pr = pads
+    dtype = np.result_type(rows.dtype, w.dtype)
+    kernel_t = w.reshape(k * k * cin, cout).astype(dtype, copy=False).T
+    chunks = _conv_chunks(n, ho * wo, k * k * cin, cout, dtype)
+    direct = k == 1 and stride == 1
+    if len(chunks) == 1:  # one GEMM, in fresh arrays: cheaper than the buffers
+        gcols = rows @ kernel_t
+        if direct:
+            return np.ascontiguousarray(gcols.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
+        gxp = np.zeros((n, h + pt + pb, wd + pl + pr, c), dtype=dtype)
+        _scatter_patches(gcols, gxp, k, stride, ho, wo)
+        del gcols
+        return np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2))
+    nb = max(hi - lo for lo, hi in chunks)
+    gcols = _line_aligned((nb * ho * wo, k * k * cin), dtype)
+    gxp = None if direct else _line_aligned((nb, h + pt + pb, wd + pl + pr, c), dtype)
+    gx = np.empty(x_shape, dtype=dtype)
+    for lo, hi in chunks:
+        m = hi - lo
+        part = gcols[:m * ho * wo]
+        np.matmul(rows[lo * ho * wo:hi * ho * wo], kernel_t, out=part)
+        if direct:
+            gx[lo:hi] = part.reshape(m, h, wd, c).transpose(0, 3, 1, 2)
+        else:
+            gxp[:m] = 0
+            _scatter_patches(part, gxp[:m], k, stride, ho, wo)
+            gx[lo:hi] = gxp[:m, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2)
+    return gx
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D cross-correlation, no bias. x: (N,C,H,W), w: (K,K,C_in,C_out).
 
-    The backward is one GEMM per operand on the output gradient as rows
-    (N*Ho*Wo, Cout): gw = patches^T @ rows, with the patch matrix rebuilt
-    rather than kept from the forward, and gx = rows @ W^T scattered back
-    tap by tap. The closure keeps x's data only if w needs a gradient, and
-    w's only if x does.
+    The backward works on the output gradient as rows (N*Ho*Wo, Cout):
+    gw = patches^T @ rows, with the patch matrix rebuilt rather than kept
+    from the forward, or tap by tap where it would be large (_kernel_grad),
+    and gx = rows @ W^T scattered back tap by tap, over the forward's
+    chunks of images (_conv_input_grad). The closure keeps x's data only
+    if w needs a gradient, and w's only if x does.
     """
     _check_same_dtype(x, w)
     _, _, h, wd = x.shape
@@ -488,8 +645,8 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray, stride: int = 1,
     by zero, as one op. Returns the output and the KernelGrad its
     backward fills in.
 
-    The backward runs the kernel-gradient GEMM of conv2d on the *unmasked*
-    output gradient g and keeps the result G (K,K,Cin,Cout) in the
+    The backward runs conv2d's kernel gradient (_kernel_grad) on the
+    *unmasked* output gradient g and keeps the result G (K,K,Cin,Cout) in the
     KernelGrad. sum over (kh, kw, cin) of w * G is then, for any kernel w,
     the straight-through gradient of a per-channel multiplier on
     conv2d(x, w) (see masking.surrogate_gamma_grad). The weight gradient

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cascadeprune.autodiff as ad
 import oracles
@@ -219,6 +219,201 @@ class TestConvKernel:
         assert calls == [(3, 3, 2, 4)]
         ad.backward(ad.tensor_sum(y))
         assert calls == [(3, 3, 2, 4)]
+        assert x.grad is not None and w.grad is not None
+
+
+class TestConvChunks:
+    """The im2col kernels run over chunks of images and the kernel
+    gradient tap by tap; neither may change a bit of the one-GEMM
+    result."""
+
+    @staticmethod
+    def conv_memory_peak(backward: bool) -> float:
+        """The tracemalloc peak of a 3x3 64-to-64 conv's forward, or of its
+        backward, on an (8, 64, 32, 32) f32 input, in input sizes."""
+        rng = np.random.default_rng(23)
+        x = ad.Tensor(rng.standard_normal((8, 64, 32, 32)).astype(np.float32),
+                      requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 64, 64)).astype(np.float32),
+                      requires_grad=True)
+        loss = ad.tensor_sum(ad.conv2d(x, w)) if backward else None
+        tracemalloc.start()
+        try:
+            if backward:
+                ad.backward(loss)
+                assert x.grad is not None and w.grad is not None
+            else:
+                ad.conv2d(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / x.data.nbytes
+
+    def test_backward_memory_bound(self):
+        """The kernel gradient holds one tap's copy of the input, not the
+        K*K-wide patch matrix, and the input gradient one chunk of it."""
+        peak = self.conv_memory_peak(backward=True)
+        assert peak < 6, f"peak {peak:.1f}x the input"
+
+    def test_forward_memory_bound(self):
+        """The forward holds one chunk's patch matrix beside its output."""
+        peak = self.conv_memory_peak(backward=False)
+        assert peak < 3, f"peak {peak:.1f}x the input"
+
+    @staticmethod
+    def one_gemm(x, w, g, stride, pad):
+        """The forward, input gradient and kernel gradient as one GEMM
+        each over the whole batch's patch matrix."""
+        n, c, h, wd = x.shape
+        k, _, cin, cout = w.shape
+        pads, ho, wo = ad._conv_geometry(h, wd, k, stride, pad)
+        pt, pb, pl, pr = pads
+        cols = ad._patches(ad._channels_last_padded(x, pads, x.dtype), k, stride, ho, wo)
+        kernel = w.reshape(k * k * cin, cout)
+        y = (cols @ kernel).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+        rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        gw = (cols.T @ rows).reshape(k, k, cin, cout)
+        gcols = (rows @ kernel.T).reshape(n, ho, wo, k, k, cin)
+        gxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, :, i, j]
+        gx = gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2)
+        return y, gx, gw
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_chunks_do_not_change_a_bit(self, data):
+        """With the batch split into the smallest chunks the 100^3 bound
+        allows, and the kernel gradient run tap by tap, the forward and
+        both gradients are byte for byte those of one GEMM over the whole
+        batch. Only shapes whose chunk and tap GEMMs have M*K*N above
+        100^3 are split: below it a GEMM split by rows is not bitwise."""
+        k = data.draw(st.sampled_from([1, 3, 5]), label="k")
+        stride = data.draw(st.integers(1, 2), label="stride")
+        pad = data.draw(st.sampled_from(["same", "valid"]), label="pad")
+        h = data.draw(st.integers(8, 12), label="h")
+        wd = data.draw(st.integers(8, 12), label="w")
+        cin = data.draw(st.integers(8 if k == 1 else 2, 32), label="cin")
+        cout = data.draw(st.integers(16, 64), label="cout")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        _, ho, wo = ad._conv_geometry(h, wd, k, stride, pad)
+        # the fewest images a chunk may hold, then a batch of a few chunks
+        images = ad._BLAS_SMALL_MNK // (ho * wo * k * k * cin * cout) + 1
+        assume(images <= 6)
+        n = data.draw(st.integers(2 * images + 1, 4 * images + 2), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal((n, cin, h, wd)).astype(dtype)
+        w = rng.standard_normal((k, k, cin, cout)).astype(dtype)
+        g = rng.standard_normal((n, cout, ho, wo)).astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_CONV_CHUNK_BYTES", 1)
+            mp.setattr(ad, "_CONV_KERNEL_REUSE", 0)
+            mp.setattr(ad, "_TAP_GRAD_BYTES", 1)
+            chunks = ad._conv_chunks(n, ho * wo, k * k * cin, cout, dtype)
+            assert len(chunks) > 1 or dtype != np.float32
+            y = ad.conv2d(ad.Tensor(x, requires_grad=True),
+                          ad.Tensor(w, requires_grad=True), stride=stride, padding=pad)
+            got = (y.data, *y.node.backward(g))
+        for name, a, b in zip(("y", "gx", "gw"), self.one_gemm(x, w, g, stride, pad), got):
+            assert b.dtype == dtype and b.flags.c_contiguous and a.shape == b.shape, name
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunk_rule(self, dtype):
+        """Over a grid of conv shapes, the chunks cover the batch in order,
+        each holds at least the rule's images, no chunk's GEMM has
+        M*K*N <= 100^3, and the batch is one chunk when a chunk would be
+        half of it or more, or the dtype is not float32."""
+        size = np.dtype(dtype).itemsize
+        for n in (1, 2, 3, 5, 8, 13, 32, 50):
+            for pixels in (1, 4, 16, 64, 256, 1024):
+                for kkc in (1, 3, 27, 64, 288, 576, 2304, 4608):
+                    for cout in (1, 2, 10, 32, 64, 128, 512):
+                        chunks = ad._conv_chunks(n, pixels, kkc, cout, dtype)
+                        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+                        assert chunks[-1][1] == n
+                        if len(chunks) == 1:
+                            continue
+                        assert dtype == np.float32 and min(kkc, cout) >= 2
+                        target = max(ad._CONV_CHUNK_BYTES,
+                                     ad._CONV_KERNEL_REUSE * kkc * cout * size)
+                        images = max(-(-target // (pixels * kkc * size)),
+                                     ad._BLAS_SMALL_MNK // (pixels * kkc * cout) + 1)
+                        assert 2 * images < n
+                        for lo, hi in chunks:
+                            assert hi - lo >= images
+                            assert (hi - lo) * pixels * kkc * cout > ad._BLAS_SMALL_MNK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_batch_when_a_chunk_is_half_of_it(self, dtype):
+        """vgg16's 512-wide layers at 4x4 and a stem are one GEMM at batch
+        32, while a 64-wide layer at 32x32 is split in f32 only."""
+        assert ad._conv_chunks(32, 16, 9 * 512, 512, dtype) == [(0, 32)]
+        assert ad._conv_chunks(32, 1024, 27, 64, dtype) == [(0, 32)]
+        wide = ad._conv_chunks(32, 1024, 9 * 64, 64, dtype)
+        assert len(wide) == (32 if dtype == np.float32 else 1)
+
+    @pytest.mark.parametrize("m,k,n,parts,transposed", [
+        (4096, 576, 64, 4, False),
+        (3000, 300, 42, 3, False),
+        (8192, 9 * 40, 42, 9, True),
+    ])
+    def test_blas_splits_large_products_bitwise(self, m, k, n, parts, transposed):
+        """The rule rests on this: the installed BLAS computes each block
+        of rows of an f32 GEMM to the same bits as the whole when every
+        block's M*K*N is above 100^3, split by the rows of the left
+        operand as the chunks are, or of its transpose as the per-tap
+        kernel gradient is. A BLAS that breaks it fails here instead of
+        moving the numerics silently."""
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        if transposed:
+            b = rng.standard_normal((m, n)).astype(np.float32)
+            whole = a.T @ b
+            step = k // parts
+            part = np.empty((m, step), dtype=np.float32)
+            blocks = []
+            for t in range(parts):
+                part[:] = a[:, t * step:(t + 1) * step]
+                blocks.append(part.T @ b)
+            assert step * m * n > ad._BLAS_SMALL_MNK
+        else:
+            b = rng.standard_normal((k, n)).astype(np.float32)
+            whole = a @ b
+            bounds = [i * m // parts for i in range(parts + 1)]
+            blocks = [a[lo:hi] @ b for lo, hi in zip(bounds, bounds[1:])]
+            assert (m // parts) * k * n > ad._BLAS_SMALL_MNK
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_chunked_forward_is_one_conv2d_raw_call(self, masked, monkeypatch):
+        """On a shape the rule splits, conv2d and masked_conv2d call the
+        module-level conv2d_raw once, with the whole batch, and their
+        backwards never call it, so a tracer that wraps it counts the
+        whole batch's multiply-accumulates."""
+        calls = []
+        raw = ad.conv2d_raw
+
+        def counted(*args, **kwargs):
+            out = raw(*args, **kwargs)
+            calls.append((args[0].shape, args[1].shape, out.size))
+            return out
+
+        monkeypatch.setattr(ad, "conv2d_raw", counted)
+        rng = np.random.default_rng(31)
+        x = ad.Tensor(rng.standard_normal((4, 64, 32, 32)).astype(np.float32),
+                      requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 64, 64)).astype(np.float32),
+                      requires_grad=True)
+        assert len(ad._conv_chunks(4, 32 * 32, 9 * 64, 64, np.float32)) == 4
+        if masked:
+            y, _ = ad.masked_conv2d(x, w, np.arange(64) % 3 != 0)
+        else:
+            y = ad.conv2d(x, w)
+        assert calls == [((4, 64, 32, 32), (3, 3, 64, 64), 4 * 64 * 32 * 32)]
+        ad.backward(ad.tensor_sum(y))
+        assert len(calls) == 1
         assert x.grad is not None and w.grad is not None
 
 
