@@ -28,14 +28,19 @@ forward and the input gradient therefore run over chunks of whole
 images (_conv_chunks) whose patch matrix holds at least the 2 MB of L2
 cache and at least four times the kernel, which the GEMM packs once per
 chunk; where a chunk would be half the batch or more, the layer is one
-GEMM. Where the patch matrix would be large, the kernel gradient is one
+GEMM. The GEMM packs its operands itself, so unlike the depthwise
+kernels' these chunk buffers gain nothing from starting on a cache
+line. Where the patch matrix would be large, the kernel gradient is one
 GEMM per tap (tap^T @ rows), each reducing over the whole batch. A GEMM
 split this way keeps every bit only if no part's M*K*N is at or below
 100^3 (_BLAS_SMALL_MNK): OpenBLAS sends such products to small-matrix
 kernels that sum in another order. Its float64 kernel also sums the last
 columns of a wide product in an order that depends on the rows around
 them, so only float32 GEMMs are split, and every part stays above the
-bound: the results are those of one GEMM over the whole batch.
+bound: the results are those of one GEMM over the whole batch. That was
+checked with OpenBLAS 0.3.31 at one, two and four threads; another
+BLAS, version or thread count may sum the parts in another order, and
+tests/test_tensor_ops.py checks the installed one's row splits.
 
 Depthwise convolution is bound by memory traffic, not arithmetic: each
 of its K*K taps reads and writes an output-sized buffer. Its forward and
@@ -474,7 +479,7 @@ def _kernel_grad(x: np.ndarray, rows: np.ndarray, k: int, stride: int,
         del xp  # a copy unless the conv is 1x1, stride 1
         return (cols.T @ rows).reshape(k, k, cin, cout)
     gw = np.empty((k, k, cin, cout), dtype=dtype)
-    tap = _line_aligned((n, ho, wo, cin), x.dtype)
+    tap = np.empty((n, ho, wo, cin), dtype=x.dtype)
     taps = tap.reshape(n * ho * wo, cin).T
     for i in range(k):
         for j in range(k):
@@ -516,8 +521,9 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     chunk fills the interior of one padded buffer, whose zero border every
     chunk reuses, and one chunk-sized patch matrix, and its product is
     written to the output in NCHW; the buffers are allocated once per
-    call, on a cache line. The result is C-contiguous, in the operands'
-    common dtype, and bitwise that of one GEMM over the whole batch.
+    call. A batch that is one chunk runs these steps once. The result is
+    C-contiguous, in the operands' common dtype, and bitwise that of one
+    GEMM over the whole batch.
 
     Every conv op calls this function once, with the whole batch, by its
     module-level name.
@@ -533,15 +539,11 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     dtype = np.result_type(x.dtype, w.dtype)
     kernel = w.reshape(kh * kh * cin, cout).astype(dtype, copy=False)
     chunks = _conv_chunks(n, ho * wo, kh * kh * cin, cout, dtype)
-    if len(chunks) == 1:  # one GEMM, in fresh arrays: cheaper than the buffers
-        cols = _patches(_channels_last_padded(x, pads, dtype), kh, stride, ho, wo)
-        y = cols @ kernel
-        return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
     nb = max(hi - lo for lo, hi in chunks)
-    xp = _line_aligned((nb, h + pt + pb, wd + pl + pr, c), dtype, zero=any(pads))
+    xp = (np.zeros if any(pads) else np.empty)((nb, h + pt + pb, wd + pl + pr, c), dtype)
     direct = kh == 1 and stride == 1
-    cols = None if direct else _line_aligned((nb * ho * wo, kh * kh * cin), dtype)
-    out = _line_aligned((nb * ho * wo, cout), dtype)
+    cols = None if direct else np.empty((nb * ho * wo, kh * kh * cin), dtype=dtype)
+    out = np.empty((nb * ho * wo, cout), dtype=dtype)
     y = np.empty((n, cout, ho, wo), dtype=dtype)
     for lo, hi in chunks:
         m = hi - lo
@@ -564,8 +566,9 @@ def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
     whose interior is the result in NCHW (a 1x1 stride-1 conv's gcols is
     that array). Where _conv_chunks splits the batch, this runs over the
     forward's chunks of images, in one chunk-sized gcols buffer and one
-    padded buffer, zeroed per chunk, allocated once per call on a cache
-    line. The result is bitwise that of one GEMM over the whole batch."""
+    padded buffer, zeroed for each chunk, allocated once per call. The
+    result is bitwise that of one GEMM over the whole batch (see the
+    module docstring for the BLAS this holds on)."""
     n, c, h, wd = x_shape
     k, _, cin, cout = w.shape
     pt, pb, pl, pr = pads
@@ -573,17 +576,9 @@ def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
     kernel_t = w.reshape(k * k * cin, cout).astype(dtype, copy=False).T
     chunks = _conv_chunks(n, ho * wo, k * k * cin, cout, dtype)
     direct = k == 1 and stride == 1
-    if len(chunks) == 1:  # one GEMM, in fresh arrays: cheaper than the buffers
-        gcols = rows @ kernel_t
-        if direct:
-            return np.ascontiguousarray(gcols.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
-        gxp = np.zeros((n, h + pt + pb, wd + pl + pr, c), dtype=dtype)
-        _scatter_patches(gcols, gxp, k, stride, ho, wo)
-        del gcols
-        return np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2))
     nb = max(hi - lo for lo, hi in chunks)
-    gcols = _line_aligned((nb * ho * wo, k * k * cin), dtype)
-    gxp = None if direct else _line_aligned((nb, h + pt + pb, wd + pl + pr, c), dtype)
+    gcols = np.empty((nb * ho * wo, k * k * cin), dtype=dtype)
+    gxp = None if direct else np.zeros((nb, h + pt + pb, wd + pl + pr, c), dtype=dtype)
     gx = np.empty(x_shape, dtype=dtype)
     for lo, hi in chunks:
         m = hi - lo
@@ -592,7 +587,8 @@ def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
         if direct:
             gx[lo:hi] = part.reshape(m, h, wd, c).transpose(0, 3, 1, 2)
         else:
-            gxp[:m] = 0
+            if lo:  # the first chunk adds onto the buffer's zeros
+                gxp[:m] = 0
             _scatter_patches(part, gxp[:m], k, stride, ho, wo)
             gx[lo:hi] = gxp[:m, pt:pt + h, pl:pl + wd].transpose(0, 3, 1, 2)
     return gx
@@ -705,12 +701,9 @@ def _line_aligned(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
     cache-line boundary; zero-filled if zero, else uninitialised."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + _LINE_BYTES, dtype=np.uint8)
+    raw = (np.zeros if zero else np.empty)(nbytes + _LINE_BYTES, dtype=np.uint8)
     start = -raw.ctypes.data % _LINE_BYTES
-    out = raw[start:start + nbytes].view(dtype).reshape(shape)
-    if zero:
-        out.fill(0)
-    return out
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _dw_images(n: int, image_values: int, dtype) -> int:

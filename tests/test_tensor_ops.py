@@ -182,51 +182,6 @@ class TestConvKernel:
         assert got.dtype == np.float32 and got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-    def test_backward_memory_bound(self):
-        """The backward rebuilds one K*K-wide patch matrix and frees it
-        before the input gradient's: its peak allocation stays below 13
-        times the input's bytes."""
-        rng = np.random.default_rng(23)
-        x = ad.Tensor(rng.standard_normal((8, 64, 32, 32)).astype(np.float32),
-                      requires_grad=True)
-        w = ad.Tensor(rng.standard_normal((3, 3, 64, 64)).astype(np.float32),
-                      requires_grad=True)
-        loss = ad.tensor_sum(ad.conv2d(x, w))
-        tracemalloc.start()
-        try:
-            ad.backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert x.grad is not None and w.grad is not None
-        assert peak < 13 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
-
-    def test_forward_alone_goes_through_conv2d_raw(self, monkeypatch):
-        """conv2d's forward looks conv2d_raw up by its module-global name,
-        so a wrapper there sees every graph conv; the backward does not
-        call it."""
-        calls = []
-        raw = ad.conv2d_raw
-
-        def counted(*args, **kwargs):
-            calls.append(args[1].shape)
-            return raw(*args, **kwargs)
-
-        monkeypatch.setattr(ad, "conv2d_raw", counted)
-        x = ad.Tensor(np.ones((1, 2, 5, 5)), requires_grad=True)
-        w = ad.Tensor(np.ones((3, 3, 2, 4)), requires_grad=True)
-        y = ad.conv2d(x, w)
-        assert calls == [(3, 3, 2, 4)]
-        ad.backward(ad.tensor_sum(y))
-        assert calls == [(3, 3, 2, 4)]
-        assert x.grad is not None and w.grad is not None
-
-
-class TestConvChunks:
-    """The im2col kernels run over chunks of images and the kernel
-    gradient tap by tap; neither may change a bit of the one-GEMM
-    result."""
-
     @staticmethod
     def conv_memory_peak(backward: bool) -> float:
         """The tracemalloc peak of a 3x3 64-to-64 conv's forward, or of its
@@ -250,14 +205,62 @@ class TestConvChunks:
         return peak / x.data.nbytes
 
     def test_backward_memory_bound(self):
+        """The backward rebuilds one K*K-wide patch matrix and frees it
+        before the input gradient's: its peak allocation stays below 13
+        times the input's bytes."""
+        peak = self.conv_memory_peak(backward=True)
+        assert peak < 13, f"peak {peak:.1f}x the input"
+
+    def test_forward_alone_goes_through_conv2d_raw(self, monkeypatch):
+        """conv2d's and masked_conv2d's forwards look conv2d_raw up by its
+        module-global name and call it once with the whole batch, also on a
+        shape the chunk rule splits in 4, so a wrapper there (the tracer's
+        _conv_macs) sees every graph conv's multiply-accumulates; the
+        backward does not call it."""
+        calls = []
+        raw = ad.conv2d_raw
+
+        def counted(*args, **kwargs):
+            out = raw(*args, **kwargs)
+            calls.append((args[0].shape, args[1].shape, out.size))
+            return out
+
+        monkeypatch.setattr(ad, "conv2d_raw", counted)
+        rng = np.random.default_rng(31)
+        assert len(ad._conv_chunks(4, 32 * 32, 9 * 64, 64, np.float32)) == 4
+        for x_shape, w_shape, masked in [((1, 2, 5, 5), (3, 3, 2, 4), False),
+                                         ((4, 64, 32, 32), (3, 3, 64, 64), False),
+                                         ((4, 64, 32, 32), (3, 3, 64, 64), True)]:
+            calls.clear()
+            x = ad.Tensor(rng.standard_normal(x_shape).astype(np.float32),
+                          requires_grad=True)
+            w = ad.Tensor(rng.standard_normal(w_shape).astype(np.float32),
+                          requires_grad=True)
+            if masked:
+                y, _ = ad.masked_conv2d(x, w, np.arange(w_shape[3]) % 3 != 0)
+            else:
+                y = ad.conv2d(x, w)
+            want = [(x_shape, w_shape, x_shape[0] * w_shape[3] * x_shape[2] * x_shape[3])]
+            assert calls == want
+            ad.backward(ad.tensor_sum(y))
+            assert calls == want
+            assert x.grad is not None and w.grad is not None
+
+
+class TestConvChunks:
+    """The im2col kernels run over chunks of images and the kernel
+    gradient tap by tap; neither may change a bit of the one-GEMM
+    result."""
+
+    def test_backward_memory_bound(self):
         """The kernel gradient holds one tap's copy of the input, not the
         K*K-wide patch matrix, and the input gradient one chunk of it."""
-        peak = self.conv_memory_peak(backward=True)
+        peak = TestConvKernel.conv_memory_peak(backward=True)
         assert peak < 6, f"peak {peak:.1f}x the input"
 
     def test_forward_memory_bound(self):
         """The forward holds one chunk's patch matrix beside its output."""
-        peak = self.conv_memory_peak(backward=False)
+        peak = TestConvKernel.conv_memory_peak(backward=False)
         assert peak < 3, f"peak {peak:.1f}x the input"
 
     @staticmethod
@@ -319,13 +322,27 @@ class TestConvChunks:
             assert b.dtype == dtype and b.flags.c_contiguous and a.shape == b.shape, name
             assert np.ascontiguousarray(a).tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("lowered", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_chunk_rule(self, dtype):
-        """Over a grid of conv shapes, the chunks cover the batch in order,
-        each holds at least the rule's images, no chunk's GEMM has
-        M*K*N <= 100^3, and the batch is one chunk when a chunk would be
-        half of it or more, or the dtype is not float32."""
+    def test_chunk_rule(self, dtype, lowered, monkeypatch):
+        """Over a grid of conv shapes, the chunks cover the batch in order
+        in near-equal parts. A float32 batch with two or more rows and
+        columns is split where a part of fewer than half its images can
+        hold a patch matrix of 2 MB and four kernels and a GEMM above
+        100^3, and then every chunk does; otherwise, and always for
+        float64, it is one chunk. With the byte targets lowered to
+        nothing, the 100^3 bound alone decides."""
+        if lowered:
+            monkeypatch.setattr(ad, "_CONV_CHUNK_BYTES", 1)
+            monkeypatch.setattr(ad, "_CONV_KERNEL_REUSE", 0)
         size = np.dtype(dtype).itemsize
+
+        def holds(m, pixels, kkc, cout):
+            return (m * pixels * kkc * size >= ad._CONV_CHUNK_BYTES
+                    and m * pixels * kkc >= ad._CONV_KERNEL_REUSE * kkc * cout
+                    and m * pixels * kkc * cout > ad._BLAS_SMALL_MNK)
+
+        split = 0
         for n in (1, 2, 3, 5, 8, 13, 32, 50):
             for pixels in (1, 4, 16, 64, 256, 1024):
                 for kkc in (1, 3, 27, 64, 288, 576, 2304, 4608):
@@ -333,17 +350,15 @@ class TestConvChunks:
                         chunks = ad._conv_chunks(n, pixels, kkc, cout, dtype)
                         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
                         assert chunks[-1][1] == n
-                        if len(chunks) == 1:
-                            continue
-                        assert dtype == np.float32 and min(kkc, cout) >= 2
-                        target = max(ad._CONV_CHUNK_BYTES,
-                                     ad._CONV_KERNEL_REUSE * kkc * cout * size)
-                        images = max(-(-target // (pixels * kkc * size)),
-                                     ad._BLAS_SMALL_MNK // (pixels * kkc * cout) + 1)
-                        assert 2 * images < n
-                        for lo, hi in chunks:
-                            assert hi - lo >= images
-                            assert (hi - lo) * pixels * kkc * cout > ad._BLAS_SMALL_MNK
+                        sizes = [hi - lo for lo, hi in chunks]
+                        assert max(sizes) - min(sizes) <= 1
+                        splittable = (dtype == np.float32 and min(kkc, cout) >= 2
+                                      and holds((n - 1) // 2, pixels, kkc, cout))
+                        assert (len(chunks) > 1) == splittable
+                        for m in sizes if len(chunks) > 1 else ():
+                            assert holds(m, pixels, kkc, cout)
+                        split += len(chunks) > 1
+        assert split > 0 or dtype != np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_whole_batch_when_a_chunk_is_half_of_it(self, dtype):
@@ -354,21 +369,24 @@ class TestConvChunks:
         wide = ad._conv_chunks(32, 1024, 9 * 64, 64, dtype)
         assert len(wide) == (32 if dtype == np.float32 else 1)
 
-    @pytest.mark.parametrize("m,k,n,parts,transposed", [
-        (4096, 576, 64, 4, False),
-        (3000, 300, 42, 3, False),
-        (8192, 9 * 40, 42, 9, True),
+    @pytest.mark.parametrize("m,k,n,parts,layout", [
+        (4096, 576, 64, 4, "a@b"),
+        (3000, 300, 42, 3, "a@b"),
+        (8192, 64, 9 * 123, 8, "a@b.T"),
+        (8192, 9 * 40, 42, 9, "a.T@b"),
     ])
-    def test_blas_splits_large_products_bitwise(self, m, k, n, parts, transposed):
+    def test_blas_splits_large_products_bitwise(self, m, k, n, parts, layout):
         """The rule rests on this: the installed BLAS computes each block
         of rows of an f32 GEMM to the same bits as the whole when every
-        block's M*K*N is above 100^3, split by the rows of the left
-        operand as the chunks are, or of its transpose as the per-tap
-        kernel gradient is. A BLAS that breaks it fails here instead of
-        moving the numerics silently."""
+        block's M*K*N is above 100^3. The blocks are rows of the left
+        operand, as in the forward's chunks (a@b) and the input
+        gradient's, whose right operand is the kernel transposed (a@b.T),
+        or rows of its transpose, as in the per-tap kernel gradient
+        (a.T@b). A BLAS that breaks it fails here instead of moving the
+        numerics silently."""
         rng = np.random.default_rng(29)
         a = rng.standard_normal((m, k)).astype(np.float32)
-        if transposed:
+        if layout == "a.T@b":
             b = rng.standard_normal((m, n)).astype(np.float32)
             whole = a.T @ b
             step = k // parts
@@ -379,42 +397,13 @@ class TestConvChunks:
                 blocks.append(part.T @ b)
             assert step * m * n > ad._BLAS_SMALL_MNK
         else:
-            b = rng.standard_normal((k, n)).astype(np.float32)
+            b = (rng.standard_normal((k, n)) if layout == "a@b"
+                 else rng.standard_normal((n, k)).T).astype(np.float32)
             whole = a @ b
             bounds = [i * m // parts for i in range(parts + 1)]
             blocks = [a[lo:hi] @ b for lo, hi in zip(bounds, bounds[1:])]
             assert (m // parts) * k * n > ad._BLAS_SMALL_MNK
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_a_chunked_forward_is_one_conv2d_raw_call(self, masked, monkeypatch):
-        """On a shape the rule splits, conv2d and masked_conv2d call the
-        module-level conv2d_raw once, with the whole batch, and their
-        backwards never call it, so a tracer that wraps it counts the
-        whole batch's multiply-accumulates."""
-        calls = []
-        raw = ad.conv2d_raw
-
-        def counted(*args, **kwargs):
-            out = raw(*args, **kwargs)
-            calls.append((args[0].shape, args[1].shape, out.size))
-            return out
-
-        monkeypatch.setattr(ad, "conv2d_raw", counted)
-        rng = np.random.default_rng(31)
-        x = ad.Tensor(rng.standard_normal((4, 64, 32, 32)).astype(np.float32),
-                      requires_grad=True)
-        w = ad.Tensor(rng.standard_normal((3, 3, 64, 64)).astype(np.float32),
-                      requires_grad=True)
-        assert len(ad._conv_chunks(4, 32 * 32, 9 * 64, 64, np.float32)) == 4
-        if masked:
-            y, _ = ad.masked_conv2d(x, w, np.arange(64) % 3 != 0)
-        else:
-            y = ad.conv2d(x, w)
-        assert calls == [((4, 64, 32, 32), (3, 3, 64, 64), 4 * 64 * 32 * 32)]
-        ad.backward(ad.tensor_sum(y))
-        assert len(calls) == 1
-        assert x.grad is not None and w.grad is not None
 
 
 class TestDepthwiseConv:
