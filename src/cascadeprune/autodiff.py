@@ -895,27 +895,55 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
 
 
 def take(x: Tensor, index: np.ndarray, axis: int) -> Tensor:
-    """The slices of x at the given positions along one axis (np.take).
-    The gradient is g at those positions and zero elsewhere.
-
-    The gradient is gathered, not scattered: g gets a zero slice appended
-    along the axis, and every position outside index reads that slice. A
-    scatter along the last axis writes one value at a time. The map from
-    x's positions to g's is built by the backward, so a pass without the
-    tape never pays for it."""
+    """The slices of x at the given unique positions along one axis
+    (np.take). The gradient is g written at those positions into zeros.
+    A conv kernel's rows and columns go through gather_kernel instead:
+    numpy writes one index on the last axis of a large array value by
+    value, several times slower than on any other axis."""
     index = np.asarray(index, dtype=np.intp)
     axis = range(x.data.ndim)[axis]  # a negative axis counts from the end
     y = np.take(x.data, index, axis=axis)
-    size = x.shape[axis]
+    shape = x.shape
 
     def bwd(g: np.ndarray):
-        source = np.full(size, len(index), dtype=np.intp)
-        source[index] = np.arange(len(index))
-        pad = g.shape[:axis] + (1,) + g.shape[axis + 1:]
-        padded = np.concatenate([g, np.zeros(pad, dtype=g.dtype)], axis=axis)
-        return (np.take(padded, source, axis=axis),)
+        gx = np.zeros(shape, dtype=g.dtype)
+        gx[(slice(None),) * axis + (index,)] = g
+        return (gx,)
 
     return _make(y, "take", (x,), bwd)
+
+
+def gather_kernel(w: Tensor, rows: Optional[np.ndarray],
+                  cols: Optional[np.ndarray] = None) -> Tensor:
+    """A kernel's input rows (axis 2) and then its output columns (axis
+    3) at the given unique positions, None keeping the whole axis: a
+    conv kernel's kept part, or with cols None a depthwise kernel's
+    channels. The values are those of np.take along each axis in turn.
+
+    The backward writes g once into a zeroed kernel-sized array, so its
+    peak is one kernel plus g, where a take per axis would build an
+    intermediate copy and scatter twice. Columns are written through a
+    (rows, cols) index pair even when every row is kept: numpy writes
+    that several times faster than one index on the last axis."""
+    y = w.data
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        y = np.take(y, rows, axis=2)
+    if cols is not None:
+        cols = np.asarray(cols, dtype=np.intp)
+        y = np.take(y, cols, axis=3)
+    shape, dtype = w.shape, w.dtype
+
+    def bwd(g: np.ndarray):
+        gw = np.zeros(shape, dtype=dtype)
+        r = np.arange(shape[2]) if rows is None else rows
+        if cols is None:
+            gw[:, :, r] = g
+        else:
+            gw[:, :, r[:, None], cols] = g
+        return (gw,)
+
+    return _make(y, "gather_kernel", (w,), bwd)
 
 
 def place(x: Tensor, index: np.ndarray, size: int, axis: int) -> Tensor:

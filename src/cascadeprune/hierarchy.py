@@ -37,7 +37,8 @@ and dense rows, and the one-image map after every step) in its slot's
 memo. The next such pass of the slot reuses it while the slot's kernels,
 weights, batch-norm state and mask are the same objects, so the
 one-image map is computed once per version of them, not once per
-forward.
+forward. A train-mode pass of any slot drops every slot's memo, since
+its step replaces the shared kernels they were built from.
 """
 
 from __future__ import annotations
@@ -88,7 +89,11 @@ class SlotState:
     tensor, a running statistic or a mask array is replaced, never edited
     in place. Parameter.assign, refresh_masks, train-mode batch norm and
     load_named_tensors all install new objects, and a memo is used only
-    while every object it was built from is still the one in place."""
+    while every object it was built from is still the one in place. A
+    train-mode pass of any slot drops the memo of every slot in the
+    hierarchy: the step it belongs to replaces the shared kernels, so
+    those memos could not hit again, and dropped they do not hold memory
+    through that step's backward. The frozen teacher's memo stays."""
     stem: Parameter
     dense: list[Parameter]
     bns: list[BatchNormState]
@@ -320,7 +325,10 @@ class ModelHierarchy:
         collapse into one map, named after the smallest."""
         memo = None
         if mode == "train":
-            state.memo = None  # this pass replaces its running statistics
+            # this pass replaces its running statistics, and its step the
+            # shared kernels that every slot's memo was built from
+            for slot in self.slots:
+                slot.state.memo = None
         elif not want_context and not ad.grad_enabled():
             sources = _memo_sources(weights, state)
             memo = state.memo
@@ -530,7 +538,10 @@ class _Memo:
     folds' sizes follow the image shape (a net that ends in global
     pooling runs at any input size). It refers to the objects
     it was built from only weakly, so it keeps no replaced kernel,
-    weight, statistic or mask alive."""
+    weight, statistic or mask alive. It lives from the no-tape eval pass
+    that builds it to the next train-mode pass of any slot of the
+    hierarchy (SlotState), so a teacher slot's memo is gone before the
+    student's backward runs."""
 
     def __init__(self, sources: list, image_shape: tuple):
         self._sources = [weakref.ref(o) for o in sources]
@@ -558,9 +569,11 @@ class _KeptWidth:
     record on the tape when grad is enabled.
 
     A conv gathers the kernel rows of its live inputs and the columns of
-    its kept filters (ad.take, whose gradient scatters into zeros), and
-    adds what the dead inputs contribute: one image's conv over the fold,
-    added to every image. Batch norm, relu, pooling and depthwise convs
+    its kept filters in one op (ad.gather_kernel, whose gradient is
+    written once into a zeroed kernel), and adds what the dead inputs
+    contribute: one image's conv of the fold with their kernel rows,
+    added to every image. A depthwise conv gathers its live and its dead channels
+    with the same op. Batch norm, relu, pooling and depthwise convs
     run on the live channels with gathered per-channel parameters, and on
     the fold. A residual join keeps the union of its sides' live
     channels. The result equals the full-width pass up to float summation
@@ -623,19 +636,14 @@ class _KeptWidth:
             return _Live(out, w.shape[3])
         kept = None if mask is None or mask.all() else np.flatnonzero(mask)
 
-        def gather():
-            # rows before columns: gathering whole rows first is the faster order
-            kernel = w.value if v.live is None else ad.take(w.value, v.live, axis=2)
-            return kernel if kept is None else ad.take(kernel, kept, axis=3)
-
         def fold_term():
-            f = ad.conv2d(v.fold, ad.take(w.value, v.dead, axis=2),
+            f = ad.conv2d(v.fold, ad.gather_kernel(w.value, v.dead),
                           it.stride, it.padding)
             return f if kept is None else ad.take(f, kept, axis=1)
 
         kernel = w.value  # never memoised: the memo must not keep it alive
         if v.live is not None or kept is not None:
-            kernel = self._once(gather)
+            kernel = self._once(lambda: ad.gather_kernel(w.value, v.live, kept))
         y = ad.conv2d(v.data, kernel, it.stride, it.padding)
         if v.fold is not None:
             y = ad.add(y, self._once(fold_term))
@@ -645,12 +653,12 @@ class _KeptWidth:
         if v.live is None:
             return _Live(ad.depthwise_conv2d(v.data, w.value, it.stride,
                                              it.padding), v.width)
-        kernel = self._once(lambda: ad.take(w.value, v.live, axis=2))
+        kernel = self._once(lambda: ad.gather_kernel(w.value, v.live))
         y = ad.depthwise_conv2d(v.data, kernel, it.stride, it.padding)
         fold = None
         if v.fold is not None:
             fold = self._once(lambda: ad.depthwise_conv2d(
-                v.fold, ad.take(w.value, v.dead, axis=2), it.stride, it.padding))
+                v.fold, ad.gather_kernel(w.value, v.dead), it.stride, it.padding))
         return _Live(y, v.width, v.live, fold)
 
     def bn(self, v: _Live, bn: BatchNormState) -> _Live:

@@ -53,10 +53,17 @@ def nesterov_update(value: np.ndarray, grad: np.ndarray, buf: np.ndarray,
 
     buf <- momentum * buf + grad
     value <- value - lr * (grad + momentum * buf)
+
+    The update is built in one scratch array, which becomes the new
+    value. Each operation takes the same two operands as the formula, so
+    the result is bitwise the formula's.
     """
     buf *= momentum
     buf += grad
-    return value - lr * (grad + momentum * buf)
+    t = buf * momentum
+    t += grad
+    t *= lr
+    return np.subtract(value, t, out=t)
 
 
 def rmsprop_update(value: np.ndarray, grad: np.ndarray, sq: np.ndarray,

@@ -14,12 +14,14 @@ import pytest
 import cascadeprune.autodiff as ad
 from cascadeprune.arch import count_stats, load_arch, parse_arch
 from cascadeprune.cli import resolve_arch
+from cascadeprune.data import synthetic_dataset
 from cascadeprune.distill import slot_loss, DistillConfig
 from cascadeprune.hierarchy import (HierarchyError, ModelHierarchy,
                                     derive_ta_keep_ratios)
 from cascadeprune.masking import (FilterMask, PruneConfig, build_mask,
                                   surrogate_gamma_grad)
 from cascadeprune.optim import SGDNesterov
+from cascadeprune.training import TrainConfig, Trainer
 import oracles
 
 
@@ -1024,3 +1026,61 @@ class TestEvalMemo:
             p.assign(p.data * 2.0)
             gc.collect()
             assert old() is None, p.name
+
+
+class TestMemoAcrossSteps:
+    """A train step drops every slot's memo before its backward; the
+    frozen teacher's memo stays, and eval passes after the step hit."""
+
+    @staticmethod
+    def trainer():
+        h = ModelHierarchy(parse_arch(DEPTHWISE_TOY, name="dw"),
+                           [0.5, 0.75, 1.0], seed=3)
+        h.freeze_teacher()
+        data = synthetic_dataset(0, 16, classes=3, size=8, channels=2)
+        cfg = TrainConfig(batch_size=8, base_lr=0.05, score_lr=0.5,
+                          distill=DistillConfig(tau=4.0, lambda_kd=0.3,
+                                                lambda_hint=0.0))
+        return h, Trainer(h, data, cfg)
+
+    def test_no_slot_memo_alive_in_the_students_backward(self, monkeypatch):
+        """The teacher slot's eval pass builds a memo, and the student's
+        train pass drops it before the backward starts."""
+        h, trainer = self.trainer()
+        built, at_backward = [], []
+        forward_slot = ModelHierarchy.forward_slot
+        backward = ad.backward
+
+        def watched_forward(self, index, *a, **kw):
+            fw = forward_slot(self, index, *a, **kw)
+            if index == 1:
+                built.append(self.slots[1].state.memo)
+            return fw
+
+        def watched_backward(loss):
+            at_backward.append([s.state.memo for s in h.slots])
+            backward(loss)
+
+        monkeypatch.setattr(ModelHierarchy, "forward_slot", watched_forward)
+        monkeypatch.setattr(ad, "backward", watched_backward)
+        trainer.finetune_epoch()
+        assert len(built) == 2 and all(m is not None for m in built)
+        assert at_backward == [[None, None, None]] * 2
+
+    def test_the_frozen_teachers_memo_outlives_a_joint_step(self):
+        h, trainer = self.trainer()
+        arch = h.arch
+        h.forward_frozen(images(arch))
+        memo = h.frozen[1].memo
+        trainer.joint_epoch()
+        assert memo is not None and h.frozen[1].memo is memo
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_the_second_eval_pass_after_a_step_hits(self, slot):
+        h, trainer = self.trainer()
+        trainer.finetune_epoch()
+        x = images(h.arch)
+        miss, memo = memo_pass(h, x, slot)
+        hit, again = memo_pass(h, x, slot)
+        assert memo is not None and again is memo
+        assert_bitwise(hit, miss)

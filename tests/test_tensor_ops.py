@@ -750,6 +750,75 @@ class TestTake:
         assert np.array_equal(x.grad, np.take(g, index, axis=axis))
 
 
+class TestGatherKernel:
+    """ad.gather_kernel against the take per axis it replaces."""
+
+    # (kernel shape, rows, cols); None keeps the whole axis
+    CASES = {"rows": ((3, 3, 6, 5), [0, 2, 5], None),
+             "rows_and_cols": ((3, 3, 6, 5), [1, 2, 4], [0, 3, 4]),
+             "cols": ((1, 1, 6, 5), None, [1, 4]),
+             "empty_rows": ((3, 3, 6, 5), [], [0, 1]),
+             "empty_cols": ((3, 3, 6, 5), [0, 3], []),
+             "all_kept": ((3, 3, 6, 5), list(range(6)), list(range(5))),
+             "depthwise": ((3, 3, 7), [0, 1, 5], None)}
+
+    @staticmethod
+    def chain(w, rows, cols):
+        """The kernel gathered by one ad.take per axis, rows first."""
+        if rows is not None:
+            w = ad.take(w, rows, axis=2)
+        return w if cols is None else ad.take(w, cols, axis=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_the_take_chain(self, case, dtype):
+        """The forward and the gradient are byte-equal to one take per
+        axis, and the gradient is +0.0 outside the gathered positions."""
+        shape, rows, cols = self.CASES[case]
+        rng = np.random.default_rng(41)
+        w0 = rng.standard_normal(shape).astype(dtype)
+        rows = None if rows is None else np.array(rows, dtype=np.intp)
+        cols = None if cols is None else np.array(cols, dtype=np.intp)
+        out = {}
+        for name, op in (("one", ad.gather_kernel), ("chain", self.chain)):
+            w = ad.Tensor(w0.copy(), requires_grad=True)
+            y = op(w, rows, cols)
+            g = np.random.default_rng(42).standard_normal(y.shape).astype(dtype)
+            backward_of(y, g)
+            out[name] = (y.data, w.grad)
+        for got, want in zip(out["one"], out["chain"]):
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        outside = np.ones(shape, dtype=bool)
+        r = slice(None) if rows is None else rows
+        if cols is None:
+            outside[:, :, r] = False
+        else:
+            outside[:, :, np.arange(shape[2])[r][:, None], cols] = False
+        grad = out["one"][1]
+        assert not np.signbit(grad[outside]).any() and not grad[outside].any()
+
+    def test_backward_peak_is_one_kernel(self):
+        """The backward of a 3x3 256-to-256 kernel at half keep writes its
+        gradient into one zeroed kernel: its peak stays below 1.25 times
+        the kernel's bytes; a take per axis adds an intermediate copy."""
+        rng = np.random.default_rng(43)
+        w = ad.Tensor(rng.standard_normal((3, 3, 256, 256)).astype(np.float32),
+                      requires_grad=True)
+        rows = np.sort(rng.permutation(256)[:128])
+        cols = np.sort(rng.permutation(256)[:128])
+        y = ad.gather_kernel(w, rows, cols)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            (gw,) = op_grads(y, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gw.shape == w.shape
+        assert peak < 1.25 * w.data.nbytes, peak / w.data.nbytes
+
+
 class TestBatchNormKernel:
     """batch_norm in f32 against the f64 loop oracles, forward and
     backward, in both modes, on 2x2 and 4x4 maps and odd sizes."""

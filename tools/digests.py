@@ -1,0 +1,201 @@
+"""Print BLAKE2b digests of what training and eval compute, one per line.
+
+Two source trees that compute the same bits print the same lines, so a
+change meant to leave numerics alone is checked by diffing this
+script's output on each tree:
+
+    python3 tools/digests.py > new.txt            # in one tree
+    python3 tools/digests.py > old.txt            # in the other
+    diff old.txt new.txt
+
+Each net gets a hierarchy with the benchmark's keep ratios (student 0.5,
+assistants from divisors 1.5 and 2.5) and a frozen teacher, on synthetic
+data at a fixed seed. The toys pretrain the top slot for one epoch;
+then every net runs one joint epoch and one fine-tune epoch (two steps
+each). The digests cover:
+
+- every gradient that reaches the optimizer, at every step;
+- every routed score gradient of every joint step;
+- every named tensor (weights, batch-norm state, masks, scores) after
+  each epoch;
+- each slot's eval logits and hint maps on a memo miss and a memo hit,
+  a pass on the tape, and the frozen teacher's logits.
+
+The toys run in float32 and float64, vgg16_cifar10 and
+mobilenetv1_cifar100 in float32 at batch 32. Set the BLAS thread count
+(for example OPENBLAS_NUM_THREADS=1) the same way for both trees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import cascadeprune.autodiff as ad  # noqa: E402
+from cascadeprune.arch import load_arch, parse_arch  # noqa: E402
+from cascadeprune.cli import resolve_arch  # noqa: E402
+from cascadeprune.data import Dataset, synthetic_dataset  # noqa: E402
+from cascadeprune.distill import DistillConfig  # noqa: E402
+from cascadeprune.hierarchy import ModelHierarchy, derive_ta_keep_ratios  # noqa: E402
+from cascadeprune.optim import SGDNesterov  # noqa: E402
+from cascadeprune.training import TrainConfig, Trainer  # noqa: E402
+
+# a net with two depthwise convs, one of them strided and one valid
+DEPTHWISE_TOY = """
+input c=2 h=8 w=8
+conv k=3 in=2 out=8 maskable=false
+bn
+relu
+conv k=1 in=8 out=12
+bn
+relu
+dwconv k=3 stride=2
+bn
+relu
+conv k=1 in=12 out=10
+bn
+relu
+dwconv k=3 pad=valid
+bn
+relu
+classifier in=40 out=3
+"""
+
+# name -> (arch loader, dtypes, batch size, pretrain epochs)
+NETS = {
+    "toy_residual": (lambda: load_arch(os.path.join(ROOT, "bench",
+                                                    "toy_residual.arch")),
+                     ("f32", "f64"), 8, 1),
+    "depthwise_toy": (lambda: parse_arch(DEPTHWISE_TOY, name="dw"),
+                      ("f32", "f64"), 8, 1),
+    "mobilenetv1_cifar100": (lambda: resolve_arch("mobilenetv1_cifar100"),
+                             ("f32",), 32, 0),
+    "vgg16_cifar10": (lambda: resolve_arch("vgg16_cifar10"),
+                      ("f32",), 32, 0),
+}
+
+
+def digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    h = hashlib.blake2b(digest_size=16)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class Printer:
+    """Writes `prefix label digest` lines, and counts the steps and
+    routings of the net under its prefix."""
+
+    def __init__(self, out):
+        self.out = out
+        self.start("")
+
+    def start(self, prefix: str) -> None:
+        self.prefix = prefix
+        self.counts = {"step": 0, "route": 0}
+
+    def __call__(self, label: str, a) -> None:
+        self.out.write(f"{self.prefix} {label} {digest(a)}\n")
+
+
+def watch_steps(emit: Printer) -> None:
+    """Digest every gradient handed to the optimizer and every routed
+    score gradient, in the order they are computed."""
+    step, route = SGDNesterov.step, ModelHierarchy.route_gamma_gradients
+
+    def watched_step(self, lr, include=None):
+        count = emit.counts
+        count["step"] += 1
+        for p in self.params:
+            if p.trainable and (include is None or p.name in include) \
+                    and p.value.grad is not None:
+                emit(f"step{count['step']} grad {p.name}", p.value.grad)
+        return step(self, lr, include=include)
+
+    def watched_route(self, forwards):
+        count = emit.counts
+        count["route"] += 1
+        grads = route(self, forwards)
+        for i in sorted(grads):
+            for lid in sorted(grads[i]):
+                emit(f"route{count['route']} slot{i} layer{lid}", grads[i][lid])
+        return grads
+
+    SGDNesterov.step = watched_step
+    ModelHierarchy.route_gamma_gradients = watched_route
+
+
+def named(emit: Printer, h: ModelHierarchy, stage: str) -> None:
+    for name, a in sorted(h.named_tensors().items()):
+        emit(f"{stage} {name}", a)
+
+
+def eval_logits(emit: Printer, h: ModelHierarchy, x: np.ndarray,
+                hint_ids) -> None:
+    for slot in range(len(h.slots)):
+        for kind in ("miss", "hit"):
+            with ad.no_grad():
+                fw = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+            emit(f"eval slot{slot} {kind} logits", fw.logits.data)
+            for k in sorted(fw.hint_maps):
+                emit(f"eval slot{slot} {kind} {k}", fw.hint_maps[k].data)
+        fw = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+        emit(f"eval slot{slot} tape logits", fw.logits.data)
+    for kind in ("first", "second"):  # the joint steps built its memo
+        emit(f"eval frozen {kind} logits", h.forward_frozen(x).logits.data)
+
+
+def run_net(emit: Printer, net: str, dtype: str, seed: int) -> None:
+    load, _, batch, pretrain = NETS[net]
+    arch = load()
+    h = ModelHierarchy(arch, derive_ta_keep_ratios(0.5, (1.5, 2.5)),
+                       seed=seed, dtype=dtype)
+    pool = synthetic_dataset(seed, max(2 * batch, arch.classes), arch.classes,
+                             arch.in_h, arch.in_c)
+    data = Dataset(pool.images[:2 * batch], pool.labels[:2 * batch],
+                   arch.classes, "train")
+    hint_ids = tuple(sorted(arch.maskable_sizes)[1::3])
+    cfg = TrainConfig(batch_size=batch, base_lr=0.05, score_lr=0.5, seed=seed,
+                      distill=DistillConfig(tau=4.0, lambda_kd=0.4,
+                                            lambda_hint=0.001,
+                                            hint_layers=hint_ids))
+    trainer = Trainer(h, data, cfg)
+    if pretrain:
+        trainer.pretrain_top(pretrain)
+        named(emit, h, "pretrain")
+    else:
+        h.freeze_teacher()
+    trainer.joint_epoch()
+    named(emit, h, "joint")
+    trainer.finetune_epoch()
+    named(emit, h, "finetune")
+    x = synthetic_dataset(seed + 1, max(batch, arch.classes), arch.classes,
+                          arch.in_h, arch.in_c, split="test").images[:batch]
+    eval_logits(emit, h, x.astype(ad.DTYPES[dtype]), hint_ids)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--nets", nargs="+", choices=sorted(NETS),
+                    default=list(NETS))
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    emit = Printer(sys.stdout)
+    watch_steps(emit)
+    for net in args.nets:
+        for dtype in NETS[net][1]:
+            emit.start(f"{net} {dtype}")
+            run_net(emit, net, dtype, args.seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
