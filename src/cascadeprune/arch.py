@@ -18,8 +18,14 @@ tokens, residual blocks as indented groups::
 
 Residual blocks add their input to the body output and apply relu; a
 projection shortcut (1x1 conv at the block's overall stride, followed
-by bn) is implied when proj=true. Maskable convs are numbered in
-document order, body convs before a block's projection.
+by bn) is implied when proj=true. A block body holds conv, bn and relu
+lines only. Maskable convs are numbered in document order, body convs
+before a block's projection.
+
+One handler parses a layer line wherever it sits, at the top level or
+in a block body: it checks the line against the current shape, advances
+the shape and emits the line's step. So each check, such as a valid
+window fitting its input, is written once and holds in both places.
 
 The parser compiles the file into ArchSpec.plan, a flat list of steps,
 one per op: conv, dwconv, bn, relu, maxpool, gap, dense (a dense or
@@ -190,13 +196,20 @@ class CompressionReport:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _out_hw(h: int, w: int, k: int, stride: int, padding: str) -> tuple[int, int]:
+def _out_hw(h: int, w: int, k: int, stride: int, padding: str,
+            where: str) -> tuple[int, int]:
+    """The output size of a k x k window; a valid one must fit the input."""
     if padding == "same":
         return -(-h // stride), -(-w // stride)
+    if k > h or k > w:
+        raise ArchError(f"{where}: {k}x{k} window does not fit {h}x{w} input")
     return (h - k) // stride + 1, (w - k) // stride + 1
 
 
-def _kv(tokens: list[str], where: str) -> dict[str, str]:
+def _kv(kind: str, tokens: list[str], where: str) -> dict[str, str]:
+    """A layer line's key=value tokens; a relu line takes none."""
+    if kind == "relu" and tokens:
+        raise ArchError(f"{where}: relu takes no arguments")
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -264,7 +277,7 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
     lineno, indented, kind, toks = entries[0]
     if indented or kind != "input":
         raise ArchError(f"{name}:{lineno}: first line must be 'input c=.. h=.. w=..'")
-    kv = _kv(toks, f"{name}:{lineno}")
+    kv = _kv(kind, toks, f"{name}:{lineno}")
     c = _take_int(kv, "c", f"{name}:{lineno}")
     h = _take_int(kv, "h", f"{name}:{lineno}")
     w = _take_int(kv, "w", f"{name}:{lineno}")
@@ -290,54 +303,33 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
         plan.append(Step(op, layer, index, out, per, reg, taps))
         return plan[-1]
 
-    def parse_conv(kv: dict, where: str, cur_c: int) -> ConvL:
-        nonlocal next_layer_id, conv_count
-        k = _take_int(kv, "k", where)
-        cin = _take_int(kv, "in", where)
-        cout = _take_int(kv, "out", where)
-        stride = _take_int(kv, "stride", where, default=1)
-        pad = _take_pad(kv, where)
-        maskable = _take_bool(kv, "maskable", where, True)
-        _no_extras(kv, where)
-        if cin != cur_c:
-            raise ArchError(f"{where}: conv expects in={cur_c} "
-                            f"(previous layer width), got in={cin}")
-        layer = ConvL(k, cin, cout, stride, pad, maskable,
-                      layer_id=None, label=f"conv{conv_count}")
-        conv_count += 1
-        if maskable:
-            layer.layer_id = next_layer_id
-            sizes[next_layer_id] = cout
-            next_layer_id += 1
-        return layer
-
-    idx = 1
-    while idx < len(entries):
-        lineno, indented, kind, toks = entries[idx]
-        where = f"{name}:{lineno}"
-        if closed:
-            raise ArchError(f"{where}: nothing may follow the classifier")
-        if indented:
-            raise ArchError(f"{where}: indented line outside a block")
-        kv = _kv(toks, where) if kind != "relu" else {}
-        run, tapped = tapped, None
-
+    def layer(kind: str, kv: dict, where: str) -> Step:
+        """Parse one layer line against the current shape, advance the
+        shape and emit the line's step."""
+        nonlocal c, h, w, flat, closed, next_layer_id
+        nonlocal conv_count, dw_count, dense_count
+        op, per = kind, 1
         if kind == "conv":
-            if flat is not None:
-                raise ArchError(f"{where}: conv after the features were flattened")
-            layer = parse_conv(kv, where, c)
-            ho, wo = _out_hw(h, w, layer.k, layer.stride, layer.padding)
-            if layer.padding == "valid" and (layer.k > h or layer.k > w):
-                raise ArchError(f"{where}: {layer.k}x{layer.k} window does not "
-                                f"fit {h}x{w} input")
-            c, h, w = layer.cout, ho, wo
-            items.append(layer)
-            tapped = emit("conv", layer,
-                          taps=(layer.layer_id,) if layer.maskable else ())
-
+            k = _take_int(kv, "k", where)
+            cin = _take_int(kv, "in", where)
+            cout = _take_int(kv, "out", where)
+            stride = _take_int(kv, "stride", where, default=1)
+            pad = _take_pad(kv, where)
+            maskable = _take_bool(kv, "maskable", where, True)
+            _no_extras(kv, where)
+            if cin != c:
+                raise ArchError(f"{where}: conv expects in={c} "
+                                f"(previous layer width), got in={cin}")
+            new = ConvL(k, cin, cout, stride, pad, maskable,
+                        layer_id=None, label=f"conv{conv_count}")
+            conv_count += 1
+            if maskable:
+                new.layer_id = next_layer_id
+                sizes[next_layer_id] = cout
+                next_layer_id += 1
+            h, w = _out_hw(h, w, k, stride, pad, where)
+            c = cout
         elif kind == "dwconv":
-            if flat is not None:
-                raise ArchError(f"{where}: dwconv after the features were flattened")
             k = _take_int(kv, "k", where)
             cc = _take_int(kv, "c", where, default=c)
             stride = _take_int(kv, "stride", where, default=1)
@@ -345,54 +337,31 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
             _no_extras(kv, where)
             if cc != c:
                 raise ArchError(f"{where}: dwconv expects c={c}, got c={cc}")
-            if pad == "valid" and (k > h or k > w):
-                raise ArchError(f"{where}: {k}x{k} window does not fit {h}x{w} input")
-            h, w = _out_hw(h, w, k, stride, pad)
-            items.append(DWConvL(k, c, stride, pad, label=f"dwconv{dw_count}"))
-            emit("dwconv", items[-1])
+            h, w = _out_hw(h, w, k, stride, pad, where)
+            new = DWConvL(k, c, stride, pad, label=f"dwconv{dw_count}")
             dw_count += 1
-
-        elif kind in ("bn", "relu"):
-            if kind == "bn":
-                if flat is not None:
-                    raise ArchError(f"{where}: bn requires spatial features")
-                cc = _take_int(kv, "c", where, default=c)
-                _no_extras(kv, where)
-                if cc != c:
-                    raise ArchError(f"{where}: bn expects c={c}, got c={cc}")
-                items.append(BNL(c))
-            else:
-                if toks:
-                    raise ArchError(f"{where}: relu takes no arguments")
-                items.append(ReLUL())
-            step = emit(kind, items[-1])
-            if run is not None:  # the tap moves to the end of the run
-                step.taps, run.taps = run.taps, ()
-                tapped = step
-
+        elif kind == "bn":
+            cc = _take_int(kv, "c", where, default=c)
+            _no_extras(kv, where)
+            if cc != c:
+                raise ArchError(f"{where}: bn expects c={c}, got c={cc}")
+            new = BNL(c)
+        elif kind == "relu":
+            new = ReLUL()
         elif kind == "pool":
-            if flat is not None:
-                raise ArchError(f"{where}: pool after the features were flattened")
             pk = kv.pop("kind", None)
             if pk == "max":
                 k = _take_int(kv, "k", where)
                 stride = _take_int(kv, "stride", where)
                 pad = _take_pad(kv, where) if "pad" in kv else "valid"
                 _no_extras(kv, where)
-                if pad == "valid" and (k > h or k > w):
-                    raise ArchError(f"{where}: {k}x{k} window does not fit "
-                                    f"{h}x{w} input")
-                h, w = _out_hw(h, w, k, stride, pad)
-                items.append(PoolL("max", k, stride, pad))
-                emit("maxpool", items[-1])
+                h, w = _out_hw(h, w, k, stride, pad, where)
+                new, op = PoolL("max", k, stride, pad), "maxpool"
             elif pk == "gap":
                 _no_extras(kv, where)
-                items.append(PoolL("gap"))
-                flat = c
-                emit("gap", items[-1])
+                new, op, flat = PoolL("gap"), "gap", c
             else:
                 raise ArchError(f"{where}: pool kind must be max or gap")
-
         elif kind in ("dense", "classifier"):
             din = _take_int(kv, "in", where)
             dout = _take_int(kv, "out", where)
@@ -401,82 +370,85 @@ def parse_arch(text: str, name: str = "<arch>") -> ArchSpec:
             if din != want:
                 raise ArchError(f"{where}: {kind} expects in={want}, got in={din}")
             if kind == "dense":
-                items.append(DenseL(want, dout, label=f"dense{dense_count}"))
+                new = DenseL(want, dout, label=f"dense{dense_count}")
                 dense_count += 1
             else:
-                items.append(ClassifierL(want, dout))
-                closed = True
+                new, closed = ClassifierL(want, dout), True
             per = 1 if flat is not None else h * w
-            flat = dout
-            emit("dense", items[-1], per=per)
-
-        elif kind == "block":
-            if flat is not None:
-                raise ArchError(f"{where}: block after the features were flattened")
-            has_proj = _take_bool(kv, "proj", where, False)
-            _no_extras(kv, where)
-            block = BlockL([], None, label=f"block{block_count}")
-            body = block.body
-            entry_c, entry_h, entry_w = c, h, w
-            overall_stride = 1
-            emit("fork", block, reg="s")
-            idx += 1
-            while idx < len(entries) and entries[idx][1]:
-                blineno, _, bkind, btoks = entries[idx]
-                bwhere = f"{name}:{blineno}"
-                bkv = _kv(btoks, bwhere) if bkind != "relu" else {}
-                if bkind == "conv":
-                    layer = parse_conv(bkv, bwhere, c)
-                    ho, wo = _out_hw(h, w, layer.k, layer.stride, layer.padding)
-                    c, h, w = layer.cout, ho, wo
-                    overall_stride *= layer.stride
-                    body.append(layer)
-                elif bkind == "bn":
-                    cc = _take_int(bkv, "c", bwhere, default=c)
-                    _no_extras(bkv, bwhere)
-                    if cc != c:
-                        raise ArchError(f"{bwhere}: bn expects c={c}, got c={cc}")
-                    body.append(BNL(c))
-                elif bkind == "relu":
-                    if btoks:
-                        raise ArchError(f"{bwhere}: relu takes no arguments")
-                    body.append(ReLUL())
-                else:
-                    raise ArchError(f"{bwhere}: {bkind!r} not allowed inside a block")
-                emit(bkind, body[-1])
-                idx += 1
-            idx -= 1  # outer loop advances once more
-            convs = [b for b in body if isinstance(b, ConvL)]
-            if not convs:
-                raise ArchError(f"{where}: block body needs at least one conv")
-            for j, b in enumerate(convs):
-                b.label = f"block{block_count}.conv{j}"
-            if has_proj:
-                block.proj = ConvL(1, entry_c, c, overall_stride, "same", True,
-                                   layer_id=next_layer_id,
-                                   label=f"block{block_count}.proj")
-                sizes[next_layer_id] = c
-                next_layer_id += 1
-                convs.append(block.proj)
-            elif entry_c != c or overall_stride != 1:
-                raise ArchError(f"{where}: identity shortcut needs matching "
-                                f"width and stride 1 (in={entry_c} out={c} "
-                                f"stride={overall_stride}); set proj=true")
-            if (h, w) != _out_hw(entry_h, entry_w, 1, overall_stride, "same"):
-                raise ArchError(f"{where}: body spatial reduction is not a "
-                                f"clean stride; shortcut cannot align")
-            if has_proj:
-                emit("conv", block.proj, reg="s")
-                emit("bn", BNL(c), reg="s")
-            emit("add", block)
-            emit("relu", ReLUL(),
-                 taps=tuple(b.layer_id for b in convs if b.maskable))
-            items.append(block)
-            block_count += 1
-
+            op, flat = "dense", dout
         else:
             raise ArchError(f"{where}: unknown layer kind {kind!r}")
+        return emit(op, new, per=per)
+
+    idx = 1
+    while idx < len(entries):
+        lineno, indented, kind, toks = entries[idx]
         idx += 1
+        where = f"{name}:{lineno}"
+        if closed:
+            raise ArchError(f"{where}: nothing may follow the classifier")
+        if indented:
+            raise ArchError(f"{where}: indented line outside a block")
+        kv = _kv(kind, toks, where)
+        run, tapped = tapped, None
+        if flat is not None and kind in ("conv", "dwconv", "bn", "pool", "block"):
+            raise ArchError(f"{where}: {kind} after the features were flattened")
+
+        if kind != "block":
+            step = layer(kind, kv, where)
+            items.append(step.layer)
+            if kind == "conv":
+                step.taps = (step.layer.layer_id,) if step.layer.maskable else ()
+                tapped = step
+            elif kind in ("bn", "relu") and run is not None:
+                # the tap moves to the end of the run
+                step.taps, run.taps = run.taps, ()
+                tapped = step
+            continue
+
+        has_proj = _take_bool(kv, "proj", where, False)
+        _no_extras(kv, where)
+        block = BlockL([], None, label=f"block{block_count}")
+        entry_c, entry_h, entry_w = c, h, w
+        overall_stride = 1
+        emit("fork", block, reg="s")
+        while idx < len(entries) and entries[idx][1]:
+            blineno, _, bkind, btoks = entries[idx]
+            idx += 1
+            bwhere = f"{name}:{blineno}"
+            bkv = _kv(bkind, btoks, bwhere)
+            if bkind not in ("conv", "bn", "relu"):
+                raise ArchError(f"{bwhere}: {bkind!r} not allowed inside a block")
+            block.body.append(layer(bkind, bkv, bwhere).layer)
+            if bkind == "conv":
+                overall_stride *= block.body[-1].stride
+        convs = [b for b in block.body if isinstance(b, ConvL)]
+        if not convs:
+            raise ArchError(f"{where}: block body needs at least one conv")
+        for j, b in enumerate(convs):
+            b.label = f"block{block_count}.conv{j}"
+        if has_proj:
+            block.proj = ConvL(1, entry_c, c, overall_stride, "same", True,
+                               layer_id=next_layer_id,
+                               label=f"block{block_count}.proj")
+            sizes[next_layer_id] = c
+            next_layer_id += 1
+            convs.append(block.proj)
+        elif entry_c != c or overall_stride != 1:
+            raise ArchError(f"{where}: identity shortcut needs matching "
+                            f"width and stride 1 (in={entry_c} out={c} "
+                            f"stride={overall_stride}); set proj=true")
+        if (h, w) != _out_hw(entry_h, entry_w, 1, overall_stride, "same", where):
+            raise ArchError(f"{where}: body spatial reduction is not a "
+                            f"clean stride; shortcut cannot align")
+        if has_proj:
+            emit("conv", block.proj, reg="s")
+            emit("bn", BNL(c), reg="s")
+        emit("add", block)
+        emit("relu", ReLUL(),
+             taps=tuple(b.layer_id for b in convs if b.maskable))
+        items.append(block)
+        block_count += 1
 
     if not closed:
         raise ArchError(f"{name}: architecture must end with a classifier line")

@@ -30,7 +30,7 @@ from .distill import DistillConfig
 from .hierarchy import HierarchyError, ModelHierarchy, derive_ta_keep_ratios
 from .masking import FilterMask, MaskError
 from .training import (TrainConfig, Trainer, TrainingError, evaluate,
-                       evaluate_frozen)
+                       evaluate_frozen, model_tensors)
 
 DATA_ROOT_ENV = "CASCADEPRUNE_DATA_ROOT"
 SHIPPED_ARCHS = ("vgg16_cifar10", "resnet50_imagenet", "mobilenetv1_cifar100")
@@ -273,6 +273,23 @@ def _write_stats_csv(report, path: str) -> None:
         w.writerow(["total", "", report.total_params, report.total_flops])
 
 
+def _read_training_checkpoint(path: str) -> tuple[dict, dict]:
+    """The tensors and meta of the training checkpoint at path."""
+    tensors, meta = load_checkpoint(path)
+    if meta.get("kind") != "cascade-train":
+        raise CLIError(f"{path}: not a training checkpoint")
+    return tensors, meta
+
+
+def _checkpoint_hierarchy(cfg: dict, given: set[str],
+                          meta: dict) -> ModelHierarchy:
+    """A fresh hierarchy of a training checkpoint's arch, unless the
+    config names one, at the checkpoint's keep ratios."""
+    arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
+    return ModelHierarchy(arch, meta["keep_ratios"], seed=cfg["seed"],
+                          min_filters=cfg["min_filters"])
+
+
 def _mask_from_checkpoint(tensors: dict, path: str, arch: ArchSpec,
                           slot: int) -> FilterMask:
     """Slot's mask from the tensor table of the checkpoint at path."""
@@ -344,14 +361,10 @@ def cmd_finetune(args) -> int:
         raise CLIError("--checkpoint is required for finetune")
     if not cfg["out"]:
         raise CLIError("--out is required for finetune")
-    tensors, meta = load_checkpoint(args.checkpoint)
-    if meta.get("kind") != "cascade-train":
-        raise CLIError(f"{args.checkpoint}: not a training checkpoint")
-    arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
+    tensors, meta = _read_training_checkpoint(args.checkpoint)
+    h = _checkpoint_hierarchy(cfg, given, meta)
     train, test = resolve_datasets(cfg)
-    augment = build_augment(cfg, arch, train)
-    h = ModelHierarchy(arch, meta["keep_ratios"], seed=cfg["seed"],
-                       min_filters=cfg["min_filters"])
+    augment = build_augment(cfg, h.arch, train)
     trainer = Trainer(h, train, build_train_config(cfg, augment),
                       val_data=test, out_dir=cfg["out"])
     write_resolved_config(cfg, cfg["out"])
@@ -383,15 +396,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, given = resolve_config(args)
-    tensors, meta = load_checkpoint(args.checkpoint)
-    if meta.get("kind") != "cascade-train":
-        raise CLIError(f"{args.checkpoint}: not a training checkpoint")
-    arch = resolve_arch(str(cfg["arch"]) if "arch" in given else meta["arch"])
-    h = ModelHierarchy(arch, meta["keep_ratios"], seed=cfg["seed"],
-                       min_filters=cfg["min_filters"])
-    model = {k: v for k, v in tensors.items()
-             if not k.startswith(("opt.", "scoreopt."))}
-    h.load_named_tensors(model)
+    tensors, meta = _read_training_checkpoint(args.checkpoint)
+    h = _checkpoint_hierarchy(cfg, given, meta)
+    h.load_named_tensors(model_tensors(tensors))
     train, test = resolve_datasets(cfg)
     augment = None
     if cfg["normalize"]:
@@ -415,9 +422,7 @@ def cmd_export(args) -> int:
         raise DataError(f"no metrics file at {metrics_path}")
     if not os.path.exists(ckpt_path):
         raise DataError(f"no checkpoint at {ckpt_path}")
-    tensors, meta = load_checkpoint(ckpt_path)
-    if meta.get("kind") != "cascade-train":
-        raise CLIError(f"{ckpt_path}: not a training checkpoint")
+    tensors, meta = _read_training_checkpoint(ckpt_path)
     arch = resolve_arch(args.arch or meta["arch"])
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -91,13 +91,18 @@ class SGDNesterov:
 
     def step(self, lr: float, include: set[str] | None = None) -> None:
         """Apply one update. With include, only named parameters move;
-        the rest keep their values and momentum untouched (dormant)."""
+        the rest keep their values and momentum untouched (dormant).
+
+        The step consumes the gradients of the parameters it moves: the
+        weight decay is added into the gradient array each parameter
+        owns, not into a copy, so call zero_grad after it, as Trainer
+        does."""
         for p in self.params:
             if not p.trainable:
                 continue
             if include is not None and p.name not in include:
                 continue
-            g = p.grad.astype(p.data.dtype, copy=True)
+            g = p.grad.astype(p.data.dtype, copy=False)
             if self.weight_decay and not p.decay_exempt:
                 g += p.data.dtype.type(self.weight_decay) * p.data
             p.assign(nesterov_update(p.data, g, self.buffers[id(p)],

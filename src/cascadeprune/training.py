@@ -87,29 +87,39 @@ def apply_promotion(state: TrainState, student_acc: float, teacher_acc: float,
     return False
 
 
-def evaluate(h: ModelHierarchy, slot_index: int, ds: Dataset,
-             batch_size: int = 256,
-             augment: AugmentConfig | None = None) -> float:
-    """Deterministic top-1 accuracy of one slot over a split."""
+def _accuracy(forward, ds: Dataset, batch_size: int,
+              augment: AugmentConfig | None) -> float:
+    """Deterministic top-1 accuracy over a split of the SlotForward that
+    forward(images) returns, run with the tape off."""
     correct = 0
     for images, one_hot in batches(ds, batch_size, seed=0, epoch=0,
                                    augment=augment, shuffle=False):
         with ad.no_grad():
-            fwd = h.forward_slot(slot_index, images, mode="eval")
-        correct += int((fwd.logits.data.argmax(axis=1)
+            logits = forward(images).logits.data
+        correct += int((logits.argmax(axis=1)
                         == one_hot.argmax(axis=1)).sum())
     return correct / ds.n
+
+
+def evaluate(h: ModelHierarchy, slot_index: int, ds: Dataset,
+             batch_size: int = 256,
+             augment: AugmentConfig | None = None) -> float:
+    """Deterministic top-1 accuracy of one slot over a split."""
+    return _accuracy(lambda images: h.forward_slot(slot_index, images,
+                                                   mode="eval"),
+                     ds, batch_size, augment)
 
 
 def evaluate_frozen(h: ModelHierarchy, ds: Dataset, batch_size: int = 256,
                     augment: AugmentConfig | None = None) -> float:
-    correct = 0
-    for images, one_hot in batches(ds, batch_size, seed=0, epoch=0,
-                                   augment=augment, shuffle=False):
-        fwd = h.forward_frozen(images)
-        correct += int((fwd.logits.data.argmax(axis=1)
-                        == one_hot.argmax(axis=1)).sum())
-    return correct / ds.n
+    """Deterministic top-1 accuracy of the frozen teacher over a split."""
+    return _accuracy(h.forward_frozen, ds, batch_size, augment)
+
+
+def model_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A training checkpoint's tensors without the optimizers' state."""
+    return {k: v for k, v in tensors.items()
+            if not k.startswith(("opt.", "scoreopt."))}
 
 
 class MetricsWriter:
@@ -408,9 +418,7 @@ class Trainer:
             raise TrainingError(f"checkpoint keep ratios "
                                 f"{meta.get('keep_ratios')} do not match the "
                                 f"hierarchy's {self.h.keep_ratios}")
-        model = {k: v for k, v in tensors.items()
-                 if not k.startswith(("opt.", "scoreopt."))}
-        self.h.load_named_tensors(model)
+        self.h.load_named_tensors(model_tensors(tensors))
         self.weight_opt.load_state_tensors("opt", tensors)
         self.score_opt.load_state_tensors("scoreopt", tensors)
         self.state = TrainState(**meta["state"])

@@ -52,6 +52,10 @@ class TestParser:
         bad = "input c=3 h=8 w=8\nconv k=3 in=4 out=8\nclassifier in=512 out=10\n"
         with pytest.raises(ArchError, match=r":2:"):
             parse_arch(bad)
+        with pytest.raises(ArchError, match=r":4: bn expects c=4, got c=3"):
+            parse_arch("input c=4 h=4 w=4\n"
+                       "block\n  conv k=3 in=4 out=4\n  bn c=3\n"
+                       "pool kind=gap\nclassifier in=4 out=2\n")
 
     def test_rejects_missing_classifier(self):
         with pytest.raises(ArchError, match="classifier"):
@@ -64,10 +68,18 @@ class TestParser:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ArchError, match="dropout"):
             parse_arch("input c=1 h=4 w=4\ndropout p=0.5\nclassifier in=16 out=2\n")
+        with pytest.raises(ArchError, match=r":4: 'pool' not allowed inside a block"):
+            parse_arch("input c=2 h=4 w=4\n"
+                       "block\n  conv k=3 in=2 out=2\n  pool kind=max k=2 stride=2\n"
+                       "pool kind=gap\nclassifier in=2 out=2\n")
 
     def test_rejects_bad_token(self):
         with pytest.raises(ArchError, match="key=value"):
             parse_arch("input c=1 h=4 w=4\nconv 3x3\nclassifier in=16 out=2\n")
+        with pytest.raises(ArchError, match=r":4: relu takes no arguments"):
+            parse_arch("input c=2 h=4 w=4\n"
+                       "block\n  conv k=3 in=2 out=2\n  relu inplace=true\n"
+                       "pool kind=gap\nclassifier in=2 out=2\n")
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(ArchError, match="duplicate"):
@@ -86,6 +98,10 @@ class TestParser:
         with pytest.raises(ArchError, match="flatten"):
             parse_arch("input c=1 h=2 w=2\ndense in=4 out=8\n"
                        "conv k=1 in=8 out=4\nclassifier in=4 out=2\n")
+        with pytest.raises(ArchError,
+                           match=r":3: bn after the features were flattened"):
+            parse_arch("input c=2 h=2 w=2\npool kind=gap\nbn\n"
+                       "classifier in=2 out=2\n")
 
     def test_rejects_identity_block_width_change(self):
         with pytest.raises(ArchError, match="proj"):
@@ -93,10 +109,20 @@ class TestParser:
                        "block\n  conv k=3 in=4 out=8\n  bn\n"
                        "pool kind=gap\nclassifier in=8 out=2\n")
 
-    def test_rejects_oversized_valid_window(self):
-        with pytest.raises(ArchError, match="fit"):
-            parse_arch("input c=1 h=2 w=2\nconv k=5 in=1 out=2 pad=valid\n"
-                       "classifier in=8 out=2\n")
+    @pytest.mark.parametrize("text, line", [
+        ("input c=1 h=2 w=2\nconv k=5 in=1 out=2 pad=valid\n"
+         "classifier in=8 out=2\n", 2),
+        ("input c=1 h=2 w=2\ndwconv k=3 pad=valid\nclassifier in=4 out=2\n", 2),
+        ("input c=1 h=2 w=2\nconv k=1 in=1 out=2\n"
+         "pool kind=max k=3 stride=1\nclassifier in=8 out=2\n", 3),
+        ("input c=2 h=2 w=2\nblock\n  conv k=1 in=2 out=2\n"
+         "  conv k=3 in=2 out=2 pad=valid\nclassifier in=8 out=2\n", 4),
+    ], ids=["conv", "dwconv", "maxpool", "block-conv"])
+    def test_rejects_oversized_valid_window(self, text, line):
+        """A valid window larger than its input is reported at its own
+        line, inside a block body as well as at the top level."""
+        with pytest.raises(ArchError, match=rf":{line}: \dx\d window does not fit"):
+            parse_arch(text)
 
     def test_dwconv_valid_padding_is_priced(self):
         """A valid 3x3 depthwise conv shrinks 6x6 to 4x4, so the flattened

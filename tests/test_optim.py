@@ -168,6 +168,25 @@ class TestNesterov:
             tracemalloc.stop()
         assert peak < 2.25 * p.data.nbytes, peak / p.data.nbytes
 
+    def test_step_adds_the_decay_into_the_owned_gradient(self):
+        """The decay term goes into the gradient the parameter owns, so a
+        decaying step holds one kernel-sized array at a time: the decay
+        term, then the scratch array that becomes the new value. Its
+        peak stays below 1.25 times the kernel's bytes, where adding
+        the decay into a copy of the gradient takes two."""
+        rng = np.random.default_rng(6)
+        p = Parameter("w", rng.standard_normal((3, 3, 64, 128)).astype(
+            np.float32))
+        p.value.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt = SGDNesterov([p], momentum=0.9, weight_decay=4e-4)
+        tracemalloc.start()
+        try:
+            opt.step(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * p.data.nbytes, peak / p.data.nbytes
+
     def test_frozen_parameter_untouched(self):
         p = Parameter("w", np.array([3.0]), dtype="f64", trainable=False)
         p.value.grad = np.array([1.0])

@@ -21,6 +21,13 @@ each). The digests cover:
 - each slot's eval logits and hint maps on a memo miss and a memo hit,
   a pass on the tape, and the frozen teacher's logits.
 
+First comes one digest per parsed arch, for the three shipped archs and
+bench/toy_residual.arch, so that a parser change is diffed the same
+way. It covers all that parse_arch returns but the arch's name: each
+plan step's op, register, index, output size, inputs per channel, taps
+and the layer it shares with items; each layer's fields and label; the
+block structure of items; and the maskable sizes.
+
 The toys run in float32 and float64, vgg16_cifar10 and
 mobilenetv1_cifar100 in float32 at batch 32. Set the BLAS thread count
 (for example OPENBLAS_NUM_THREADS=1) the same way for both trees.
@@ -39,13 +46,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import cascadeprune.autodiff as ad  # noqa: E402
-from cascadeprune.arch import load_arch, parse_arch  # noqa: E402
+from cascadeprune.arch import BlockL, load_arch, parse_arch  # noqa: E402
 from cascadeprune.cli import resolve_arch  # noqa: E402
 from cascadeprune.data import Dataset, synthetic_dataset  # noqa: E402
 from cascadeprune.distill import DistillConfig  # noqa: E402
 from cascadeprune.hierarchy import ModelHierarchy, derive_ta_keep_ratios  # noqa: E402
 from cascadeprune.optim import SGDNesterov  # noqa: E402
 from cascadeprune.training import TrainConfig, Trainer  # noqa: E402
+
+TOY_RESIDUAL = os.path.join(ROOT, "bench", "toy_residual.arch")
 
 # a net with two depthwise convs, one of them strided and one valid
 DEPTHWISE_TOY = """
@@ -70,9 +79,7 @@ classifier in=40 out=3
 
 # name -> (arch loader, dtypes, batch size, pretrain epochs)
 NETS = {
-    "toy_residual": (lambda: load_arch(os.path.join(ROOT, "bench",
-                                                    "toy_residual.arch")),
-                     ("f32", "f64"), 8, 1),
+    "toy_residual": (lambda: load_arch(TOY_RESIDUAL), ("f32", "f64"), 8, 1),
     "depthwise_toy": (lambda: parse_arch(DEPTHWISE_TOY, name="dw"),
                       ("f32", "f64"), 8, 1),
     "mobilenetv1_cifar100": (lambda: resolve_arch("mobilenetv1_cifar100"),
@@ -80,6 +87,12 @@ NETS = {
     "vgg16_cifar10": (lambda: resolve_arch("vgg16_cifar10"),
                       ("f32",), 32, 0),
 }
+
+
+# label -> what resolve_arch reads: a shipped arch id or a file
+ARCHS = {"toy_residual": TOY_RESIDUAL,
+         **{name: name for name in ("mobilenetv1_cifar100",
+                                    "resnet50_imagenet", "vgg16_cifar10")}}
 
 
 def digest(a) -> str:
@@ -104,6 +117,34 @@ class Printer:
 
     def __call__(self, label: str, a) -> None:
         self.out.write(f"{self.prefix} {label} {digest(a)}\n")
+
+
+def describe(arch) -> str:
+    """The parsed arch as text, one line per layer and per plan step. A
+    step's layer is named by its place in items, or written out when
+    items does not hold it."""
+    place = {}
+    lines = [f"input {arch.in_c} {arch.in_h} {arch.in_w} "
+             f"classes {arch.classes} maskable {arch.maskable_sizes}"]
+
+    def walk(layers, path):
+        for i, layer in enumerate(layers):
+            at = place[id(layer)] = f"{path}{i}"
+            if isinstance(layer, BlockL):
+                lines.append(f"{at} block {layer.label}")
+                walk(layer.body, f"{at}.")
+                if layer.proj is not None:
+                    place[id(layer.proj)] = f"{at}.proj"
+                    lines.append(f"{at}.proj {layer.proj!r}")
+            else:
+                lines.append(f"{at} {layer!r}")
+
+    walk(arch.items, "")
+    for st in arch.plan:
+        layer = place.get(id(st.layer), repr(st.layer))
+        lines.append(f"{st.op} {st.reg} {st.index} {st.out} {st.per} "
+                     f"{st.taps} {layer}")
+    return "\n".join(lines)
 
 
 def watch_steps(emit: Printer) -> None:
@@ -189,6 +230,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     emit = Printer(sys.stdout)
+    emit.start("arch")
+    for name, source in ARCHS.items():
+        emit(name, np.frombuffer(describe(resolve_arch(source)).encode(),
+                                 np.uint8))
     watch_steps(emit)
     for net in args.nets:
         for dtype in NETS[net][1]:
