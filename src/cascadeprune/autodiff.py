@@ -189,11 +189,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Row-major flat view of the underlying buffer."""
-        return self.data.reshape(-1)
-
     def retain_grad(self) -> "Tensor":
         """Keep the gradient a backward computes for this interior tensor."""
         if self.node is not None:
@@ -316,6 +311,7 @@ class BatchNormState:
 
     def __init__(self, name: str, channels: int, dtype="f32"):
         dt = _as_dtype(dtype)
+        self.name = name
         self.channels = channels
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=dt),
                                decay_exempt=True)
@@ -1303,13 +1299,18 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(y, "sum", (x,), bwd)
 
 
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of an (N,K) array, max-shifted; the one
+    expression of every log-softmax here and of distill's teacher side."""
+    z = x - x.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log-softmax of a (N,K) tensor, max-shifted for stability."""
     if x.data.ndim != 2:
         raise ShapeError(f"log_softmax expects (N,K), got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    y = z - lse
+    y = _log_softmax_rows(x.data)
 
     def bwd(g: np.ndarray):
         p = np.exp(y)
@@ -1331,8 +1332,7 @@ def softmax_cross_entropy(logits: Tensor, labels: Union[Tensor, np.ndarray]) -> 
     if bad.size:
         raise ValueError(f"label row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1")
     n = logits.shape[0]
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = _log_softmax_rows(logits.data)
     y = np.asarray(-(lab * logp).sum() / n, dtype=logits.dtype)
 
     def bwd(g: np.ndarray):

@@ -27,8 +27,9 @@ from .checkpoint import CheckpointError, copy_checkpoint, load_checkpoint
 from .data import (AugmentConfig, DataError, Dataset, channel_stats,
                    load_cifar10, load_mnist_idx, synthetic_dataset)
 from .distill import DistillConfig
-from .hierarchy import HierarchyError, ModelHierarchy, derive_ta_keep_ratios
-from .masking import FilterMask, MaskError
+from .hierarchy import (HierarchyError, ModelHierarchy, checkpoint_mask,
+                        derive_ta_keep_ratios)
+from .masking import MaskError
 from .training import (TrainConfig, Trainer, TrainingError, evaluate,
                        evaluate_frozen, model_tensors)
 
@@ -290,19 +291,6 @@ def _checkpoint_hierarchy(cfg: dict, given: set[str],
                           min_filters=cfg["min_filters"])
 
 
-def _mask_from_checkpoint(tensors: dict, path: str, arch: ArchSpec,
-                          slot: int) -> FilterMask:
-    """Slot's mask from the tensor table of the checkpoint at path."""
-    prefix = f"slot{slot}.mask."
-    layers = {int(k[len(prefix):]): tensors[k].astype(bool)
-              for k in tensors if k.startswith(prefix)}
-    if not layers:
-        raise CLIError(f"{path}: no masks for slot {slot}")
-    if set(layers) != set(arch.maskable_sizes):
-        raise CLIError(f"{path}: mask layer ids do not match {arch.name}")
-    return FilterMask(layers)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -384,7 +372,7 @@ def cmd_analyze(args) -> int:
     mask = None
     if args.checkpoint:
         tensors, _ = load_checkpoint(args.checkpoint)
-        mask = _mask_from_checkpoint(tensors, args.checkpoint, arch, args.slot)
+        mask = checkpoint_mask(tensors, arch, args.slot)
     report = count_stats(arch, mask)
     _print_stats(report)
     if mask is not None:
@@ -424,17 +412,17 @@ def cmd_export(args) -> int:
         raise DataError(f"no checkpoint at {ckpt_path}")
     tensors, meta = _read_training_checkpoint(ckpt_path)
     arch = resolve_arch(args.arch or meta["arch"])
+    masks = [checkpoint_mask(tensors, arch, slot)
+             for slot in range(len(meta["keep_ratios"]))]
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
 
     hist_path = os.path.join(out_dir, "mask_histogram.csv")
-    slot_count = len(meta["keep_ratios"])
     with open(hist_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["slot", "layer_id", "filters", "kept", "pruned",
                     "kept_pct", "pruned_pct"])
-        for slot in range(slot_count):
-            mask = _mask_from_checkpoint(tensors, ckpt_path, arch, slot)
+        for slot, mask in enumerate(masks):
             kept_per_layer = mask.kept_per_layer()
             for lid in sorted(mask.layers):
                 total = mask.layers[lid].size

@@ -40,11 +40,6 @@ class DistillConfig:
             raise ValueError("loss weights must be non-negative")
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def kd_loss(student_logits: Tensor, teacher_logits, tau: float) -> Tensor:
     """tau^2 times the batch-mean KL(teacher || student) of the softened
     output distributions. The teacher side contributes constants only, so
@@ -56,7 +51,7 @@ def kd_loss(student_logits: Tensor, teacher_logits, tau: float) -> Tensor:
                             f"{student_logits.shape}")
     n = t.shape[0]
     dt = student_logits.dtype.type
-    log_q = _log_softmax_rows(t.astype(student_logits.dtype) / dt(tau))
+    log_q = ad._log_softmax_rows(t.astype(student_logits.dtype) / dt(tau))
     coef = np.exp(log_q) / dt(n)
     # constant part: sum of coef * log q, same elementwise route as the
     # student term below so identical logits cancel to exactly zero

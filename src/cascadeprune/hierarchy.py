@@ -100,28 +100,10 @@ class SlotState:
     mask: FilterMask
     memo: Optional[_Memo] = field(default=None, repr=False, compare=False)
 
-    def named_tensors(self, pre: str) -> dict[str, np.ndarray]:
-        """The stem, dense and batch-norm tensors under checkpoint names
-        starting with pre (the mask is saved by the hierarchy)."""
-        out = {f"{pre}.stem.w": self.stem.data}
-        for j, p in enumerate(self.dense):
-            out[f"{pre}.dense{j}.w"] = p.data
-        for j, bn in enumerate(self.bns):
-            out[f"{pre}.bn{j}.gamma"] = bn.gamma.data
-            out[f"{pre}.bn{j}.beta"] = bn.beta.data
-            out[f"{pre}.bn{j}.rmean"] = bn.running_mean
-            out[f"{pre}.bn{j}.rvar"] = bn.running_var
-        return out
-
-    def load_named_tensors(self, table: dict[str, np.ndarray], pre: str) -> None:
-        self.stem.assign(table[f"{pre}.stem.w"])
-        for j, p in enumerate(self.dense):
-            p.assign(table[f"{pre}.dense{j}.w"])
-        for j, bn in enumerate(self.bns):
-            bn.gamma.assign(table[f"{pre}.bn{j}.gamma"])
-            bn.beta.assign(table[f"{pre}.bn{j}.beta"])
-            bn.running_mean = table[f"{pre}.bn{j}.rmean"].copy()
-            bn.running_var = table[f"{pre}.bn{j}.rvar"].copy()
+    def parameters(self) -> list[Parameter]:
+        """The stem, dense and batch-norm parameters."""
+        return [self.stem, *self.dense] + [p for bn in self.bns
+                                           for p in (bn.gamma, bn.beta)]
 
 
 @dataclass
@@ -243,26 +225,27 @@ class ModelHierarchy:
     def freeze_teacher(self) -> None:
         """Capture the current top slot as the permanent frozen teacher:
         private copies of the shared kernels and of the top slot's stem,
-        heads, and BN running statistics, none of them trainable."""
-        weights = {label: Parameter(f"frozen.{label}.w", p.data.copy(),
-                                    dtype=self.dtype, trainable=False)
-                   for label, p in self.shared.items()}
+        heads, and BN state, none of them trainable, each named
+        frozen.* like the parameter it copies."""
+        def frozen(name: str, p: Parameter) -> Parameter:
+            return Parameter(name, p.data.copy(), dtype=self.dtype,
+                             trainable=False)
+
         top = self.top.state
+        bns = [copy.copy(bn) for bn in top.bns]
+        for j, bn in enumerate(bns):
+            bn.name = f"frozen.bn{j}"
+            bn.gamma = frozen(f"{bn.name}.gamma", bn.gamma)
+            bn.beta = frozen(f"{bn.name}.beta", bn.beta)
+            bn.running_mean = bn.running_mean.copy()
+            bn.running_var = bn.running_var.copy()
         state = SlotState(
-            stem=Parameter("frozen.stem.w", top.stem.data.copy(),
-                           dtype=self.dtype, trainable=False),
-            dense=[Parameter(f"frozen.dense{j}.w", p.data.copy(),
-                             dtype=self.dtype, trainable=False)
+            stem=frozen("frozen.stem.w", top.stem),
+            dense=[frozen(f"frozen.dense{j}.w", p)
                    for j, p in enumerate(top.dense)],
-            bns=copy.deepcopy(top.bns),
-            mask=self.arch.full_mask(),
-        )
-        for bn in state.bns:
-            bn.gamma.trainable = False
-            bn.gamma.value.requires_grad = False
-            bn.beta.trainable = False
-            bn.beta.value.requires_grad = False
-        self.frozen = (weights, state)
+            bns=bns, mask=self.arch.full_mask())
+        self.frozen = ({label: frozen(f"frozen.{label}.w", p)
+                        for label, p in self.shared.items()}, state)
 
     # -- forward -------------------------------------------------------------
 
@@ -414,75 +397,91 @@ class ModelHierarchy:
 
     def slot_parameters(self, index: int) -> list[Parameter]:
         """The private trainable parameters of one slot (no conv kernels)."""
-        st = self.slots[index].state
-        params = [st.stem] + list(st.dense)
-        for bn in st.bns:
-            params += [bn.gamma, bn.beta]
-        return params
+        return self.slots[index].state.parameters()
 
     def all_parameters(self) -> list[Parameter]:
-        params = self.shared_parameters()
-        for i in range(len(self.slots)):
-            params += self.slot_parameters(i)
-        return params
+        return self.shared_parameters() + [p for slot in self.slots
+                                           for p in slot.state.parameters()]
 
     # -- persistence view ----------------------------------------------------
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of all state, for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for label, p in self.shared.items():
-            out[f"shared.{label}.w"] = p.data
-        for slot in self.slots:
-            pre = f"slot{slot.index}"
-            st = slot.state
-            out.update(st.named_tensors(pre))
-            for lid, m in sorted(st.mask.layers.items()):
-                out[f"{pre}.mask.{lid}"] = m.astype(np.uint8)
-            if slot.scores is not None:
-                for lid, s in sorted(slot.scores.layers.items()):
-                    out[f"{pre}.scores.{lid}"] = s
+    def _saved_state(self) -> tuple[list[Parameter], list[BatchNormState]]:
+        """Every parameter and BN state a checkpoint holds, the frozen teacher's too."""
+        params, states = self.all_parameters(), [s.state for s in self.slots]
         if self.frozen is not None:
             weights, state = self.frozen
-            for label, p in weights.items():
-                out[f"frozen.{label}.w"] = p.data
-            out.update(state.named_tensors("frozen"))
+            params += list(weights.values()) + state.parameters()
+            states.append(state)
+        return params, [bn for st in states for bn in st.bns]
+
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        """Flat name -> array view of all state, for checkpointing: each
+        parameter under its own name, a BN state's running statistics as
+        {name}.rmean and .rvar, and slot{i}.mask.{id} and .scores.{id}."""
+        params, bns = self._saved_state()
+        out = {p.name: p.data for p in params}
+        for bn in bns:
+            out[f"{bn.name}.rmean"] = bn.running_mean
+            out[f"{bn.name}.rvar"] = bn.running_var
+        for slot in self.slots:
+            for lid, name in _layer_names("mask", slot.index, self.arch):
+                out[name] = slot.state.mask.layers[lid].astype(np.uint8)
+            if slot.scores is not None:
+                for lid, name in _layer_names("scores", slot.index, self.arch):
+                    out[name] = slot.scores.layers[lid]
         return out
 
     def load_named_tensors(self, table: dict[str, np.ndarray]) -> None:
-        """Restore state saved by named_tensors. Unknown names error;
-        missing names error, except that a hierarchy saved without a
-        frozen teacher loads into one without."""
-        has_frozen = any(k.startswith("frozen.") for k in table)
-        if has_frozen and self.frozen is None:
-            self.freeze_teacher()  # allocate the structures, then overwrite
-        if not has_frozen:
+        """Restore state saved by named_tensors, replacing every object.
+        An unknown or missing name or a wrong shape raises HierarchyError
+        naming the tensor before anything is assigned. A hierarchy saved
+        without a frozen teacher loads into one without."""
+        if not any(k.startswith("frozen.") for k in table):
             self.frozen = None
-        want = self.named_tensors()
-        unknown = set(table) - set(want)
-        missing = set(want) - set(table)
-        if unknown:
-            raise HierarchyError(f"checkpoint has unknown tensor {sorted(unknown)[0]!r}")
-        if missing:
-            raise HierarchyError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
+        elif self.frozen is None:
+            self.freeze_teacher()  # allocate the structures, then overwrite
+        _check_tensors(table, {k: v.shape for k, v in self.named_tensors().items()})
 
-        for label, p in self.shared.items():
-            p.assign(table[f"shared.{label}.w"])
+        params, bns = self._saved_state()
+        for p in params:
+            p.assign(table[p.name])
+        for bn in bns:
+            bn.running_mean = table[f"{bn.name}.rmean"].copy()
+            bn.running_var = table[f"{bn.name}.rvar"].copy()
         for slot in self.slots:
-            pre = f"slot{slot.index}"
-            st = slot.state
-            st.load_named_tensors(table, pre)
-            st.mask = FilterMask({lid: table[f"{pre}.mask.{lid}"].astype(bool)
-                                  for lid in self.arch.maskable_sizes})
+            slot.state.mask = checkpoint_mask(table, self.arch, slot.index)
             if slot.scores is not None:
-                slot.scores = ImportanceScores(
-                    {lid: table[f"{pre}.scores.{lid}"]
-                     for lid in self.arch.maskable_sizes})
-        if has_frozen:
-            weights, state = self.frozen
-            for label, p in weights.items():
-                p.assign(table[f"frozen.{label}.w"].copy())
-            state.load_named_tensors(table, "frozen")
+                names = _layer_names("scores", slot.index, self.arch)
+                slot.scores = ImportanceScores({lid: table[n] for lid, n in names})
+
+
+def _layer_names(kind: str, slot: int, arch: ArchSpec) -> list[tuple[int, str]]:
+    """(layer id, checkpoint name) of one slot's per-layer masks or scores."""
+    return [(lid, f"slot{slot}.{kind}.{lid}") for lid in sorted(arch.maskable_sizes)]
+
+
+def _check_tensors(table: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
+    """Raise HierarchyError naming the first tensor of table not in want
+    (name -> shape), of want not in table, or of a shape want differs on."""
+    for problem, names in (("has unknown", table.keys() - want.keys()),
+                           ("is missing", want.keys() - table.keys())):
+        if names:
+            raise HierarchyError(f"checkpoint {problem} tensor {min(names)!r}")
+    for name, shape in sorted(want.items()):
+        if table[name].shape != shape:
+            raise HierarchyError(f"checkpoint tensor {name!r} has shape "
+                                 f"{table[name].shape}, expected {shape}")
+
+
+def checkpoint_mask(table: dict[str, np.ndarray], arch: ArchSpec,
+                    slot: int) -> FilterMask:
+    """One slot's mask from a checkpoint's tensor table, checked against
+    arch: every maskable conv's entry at its filter count, and no other
+    mask of that slot."""
+    names = _layer_names("mask", slot, arch)
+    ours = {k: v for k, v in table.items() if k.startswith(f"slot{slot}.mask.")}
+    _check_tensors(ours, {n: (arch.maskable_sizes[lid],) for lid, n in names})
+    return FilterMask({lid: table[name].astype(bool) for lid, name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +555,9 @@ class _Memo:
 
 def _memo_sources(weights: dict[str, Parameter], state: SlotState) -> list:
     """Every object a kept-width pass of the slot reads besides the images."""
-    objs = [p.value for p in weights.values()]
-    objs += [state.stem.value] + [p.value for p in state.dense]
+    objs = [p.value for p in list(weights.values()) + state.parameters()]
     for bn in state.bns:
-        objs += [bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var]
+        objs += [bn.running_mean, bn.running_var]
     return objs + list(state.mask.layers.values())
 
 

@@ -122,6 +122,9 @@ class SGDNesterov:
             key = f"{prefix}.{p.name}.momentum"
             if key not in table:
                 raise KeyError(f"optimizer state missing {key!r}")
+            if table[key].shape != p.shape:
+                raise ValueError(f"optimizer state {key!r} has shape "
+                                 f"{table[key].shape}, expected {p.shape}")
             self.buffers[id(p)] = table[key].astype(p.data.dtype).copy()
 
 

@@ -364,6 +364,24 @@ class TestExport:
         assert main(["export", trained_run, "--arch", tiny_arch]) == 0
         assert len(reads) == 1
 
+    @pytest.mark.parametrize("command", ["export", "analyze"])
+    def test_a_short_mask_is_rejected_by_name(self, trained_run, tiny_arch,
+                                              tmp_path, capsys, command):
+        """A mask with fewer entries than its conv has filters is a
+        malformed checkpoint, not a smaller layer."""
+        tensors, meta = load_checkpoint(os.path.join(trained_run, "latest.ckpt"))
+        tensors["slot0.mask.0"] = tensors["slot0.mask.0"][:-2]
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(os.path.join(trained_run, "metrics.csv"), run)
+        ckpt = str(run / "latest.ckpt")
+        save_checkpoint(ckpt, tensors, meta)
+        argv = {"export": ["export", str(run), "--arch", tiny_arch],
+                "analyze": ["analyze", tiny_arch, "--checkpoint", ckpt]}
+        assert main(argv[command]) == 1
+        assert "'slot0.mask.0'" in capsys.readouterr().err
+        assert not (run / "mask_histogram.csv").exists()
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["export", str(tmp_path / "nope")]) == 2
 

@@ -801,6 +801,21 @@ class TestMaskRefreshAndPersistence:
         with pytest.raises(HierarchyError, match="missing"):
             h.load_named_tensors(table)
 
+    def test_no_two_parameters_share_a_name(self):
+        """Checkpoints save each parameter under its own name, so the
+        frozen teacher's copies must not carry the top slot's names."""
+        h = ModelHierarchy(load_arch(TOY_RESIDUAL_ARCH), [0.5, 0.75, 1.0])
+        h.freeze_teacher()
+        weights, state = h.frozen
+        params = h.all_parameters() + list(weights.values()) \
+            + [state.stem, *state.dense] \
+            + [p for bn in state.bns for p in (bn.gamma, bn.beta)]
+        names = [p.name for p in params]
+        assert len(names) == 86
+        assert len(set(names)) == len(names)
+        assert {bn.name for bn in state.bns} \
+            == {f"frozen.bn{j}" for j in range(len(state.bns))}
+
     def test_frozen_teacher_is_immune_to_training(self):
         h = toy_hierarchy(seed=7)
         h.freeze_teacher()

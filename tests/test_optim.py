@@ -219,6 +219,13 @@ class TestNesterov:
         with pytest.raises(KeyError, match="opt.w.momentum"):
             fresh.load_state_tensors("opt", {})
 
+    def test_load_rejects_a_buffer_of_the_wrong_shape(self):
+        p = Parameter("w", np.array([1.0, 2.0]), dtype="f64")
+        opt = SGDNesterov([p])
+        with pytest.raises(ValueError, match="'opt.w.momentum'"):
+            opt.load_state_tensors("opt", {"opt.w.momentum": np.ones(3)})
+        assert np.array_equal(opt.buffers[id(p)], np.zeros(2))
+
 
 class TestRMSProp:
     def test_first_step_formula(self):

@@ -8,6 +8,7 @@ distillation weights degenerates to plain supervised training.
 
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,10 @@ import pytest
 
 import cascadeprune.autodiff as ad
 from cascadeprune.arch import parse_arch
+from cascadeprune.checkpoint import load_checkpoint, save_checkpoint
 from cascadeprune.data import Dataset, batches, synthetic_dataset
 from cascadeprune.distill import DistillConfig
-from cascadeprune.hierarchy import ModelHierarchy
+from cascadeprune.hierarchy import HierarchyError, ModelHierarchy
 from cascadeprune.optim import SGDNesterov, lr_at
 from cascadeprune.training import (
     CSV_HEADER,
@@ -525,6 +527,96 @@ class TestPersistence:
         want = (tmp_path / "whole" / "metrics.csv").read_bytes()
         assert len(killed) < len(want)
         assert (run_dir / "metrics.csv").read_bytes() == want
+
+    @staticmethod
+    def _named_by_place(h: ModelHierarchy) -> dict[str, np.ndarray]:
+        """Every model tensor under the name a checkpoint has always
+        given it, spelled from its place in the hierarchy rather than
+        read from the parameter: shared.{label}.w; per slot, and for
+        the frozen teacher, stem.w, dense{j}.w and bn{j}.gamma, .beta,
+        .rmean and .rvar; then slot{i}.mask.{id} and slot{i}.scores.{id}."""
+        out = {f"shared.{label}.w": p.data for label, p in h.shared.items()}
+        places = [(f"slot{s.index}", s.state) for s in h.slots]
+        if h.frozen is not None:
+            weights, state = h.frozen
+            out.update({f"frozen.{label}.w": p.data
+                        for label, p in weights.items()})
+            places.append(("frozen", state))
+        for pre, st in places:
+            out[f"{pre}.stem.w"] = st.stem.data
+            for j, p in enumerate(st.dense):
+                out[f"{pre}.dense{j}.w"] = p.data
+            for j, bn in enumerate(st.bns):
+                out[f"{pre}.bn{j}.gamma"] = bn.gamma.data
+                out[f"{pre}.bn{j}.beta"] = bn.beta.data
+                out[f"{pre}.bn{j}.rmean"] = bn.running_mean
+                out[f"{pre}.bn{j}.rvar"] = bn.running_var
+        for s in h.slots:
+            for lid, m in s.state.mask.layers.items():
+                out[f"slot{s.index}.mask.{lid}"] = m.astype(np.uint8)
+            if s.scores is not None:
+                for lid, v in s.scores.layers.items():
+                    out[f"slot{s.index}.scores.{lid}"] = v
+        return out
+
+    def test_a_checkpoint_named_by_place_loads_and_resumes_bitwise(
+            self, tmp_path):
+        """A file whose tensors are named by their place in the
+        hierarchy, as checkpoints written before parameters named
+        themselves were, is byte for byte the file save writes, and a
+        run resumed from it continues bitwise."""
+        full = self._fresh()
+        full.pretrain_top(1)
+        full.joint_epoch()
+        saved, by_place = tmp_path / "saved.ckpt", tmp_path / "by_place.ckpt"
+        full.save(str(saved))
+        tensors, meta = load_checkpoint(str(saved))
+        save_checkpoint(str(by_place), {
+            **self._named_by_place(full.h),
+            **{k: v for k, v in tensors.items()
+               if k.startswith(("opt.", "scoreopt."))}}, meta)
+        assert by_place.read_bytes() == saved.read_bytes()
+
+        resumed = self._fresh()
+        resumed.load(str(by_place))
+        full.joint_epoch()
+        resumed.joint_epoch()
+        want, got = full.h.named_tensors(), resumed.h.named_tensors()
+        assert set(want) == set(got)
+        for k in want:
+            assert want[k].tobytes() == got[k].tobytes(), k
+        assert resumed.metrics.rows == full.metrics.rows[-len(resumed.metrics.rows):]
+
+    @pytest.mark.parametrize("name, error", [
+        ("slot0.mask.0", HierarchyError),
+        ("slot0.scores.0", HierarchyError),
+        ("slot0.bn0.rmean", HierarchyError),
+        ("slot0.bn0.rvar", HierarchyError),
+        ("frozen.bn0.rmean", HierarchyError),
+        ("frozen.bn0.rvar", HierarchyError),
+        ("shared.conv1.w", HierarchyError),
+        ("opt.slot0.bn0.gamma.momentum", ValueError),
+    ])
+    def test_a_tensor_of_the_wrong_shape_is_rejected_by_name(
+            self, tmp_path, name, error):
+        """A checkpoint tensor one entry short along its first axis is
+        rejected with its name; a rejected model tensor leaves every
+        tensor of the hierarchy as it was."""
+        a = self._fresh()
+        a.pretrain_top(1)
+        path = str(tmp_path / "state.ckpt")
+        a.save(path)
+        tensors, meta = load_checkpoint(path)
+        tensors[name] = tensors[name][:-1]
+
+        b = self._fresh(seed=9)
+        before = {k: v.copy() for k, v in b.h.named_tensors().items()}
+        with pytest.raises(error, match=re.escape(repr(name))):
+            b.load_state(tensors, meta)
+        if error is HierarchyError:
+            after = b.h.named_tensors()
+            for k in before:
+                assert np.array_equal(before[k], after[k]), k
 
     def test_wrong_ratios_rejected(self, tmp_path):
         a = self._fresh()

@@ -17,7 +17,8 @@ each). The digests cover:
 - every gradient that reaches the optimizer, at every step;
 - every routed score gradient of every joint step;
 - every named tensor (weights, batch-norm state, masks, scores) after
-  each epoch;
+  each epoch, and the bytes of the checkpoint Trainer.save writes
+  then, which adds the file layout and the optimizers' state;
 - each slot's eval logits and hint maps on a memo miss and a memo hit,
   a pass on the tape, and the frozen teacher's logits.
 
@@ -39,6 +40,8 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import cascadeprune.autodiff as ad  # noqa: E402
-from cascadeprune.arch import BlockL, load_arch, parse_arch  # noqa: E402
+from cascadeprune.arch import BlockL, parse_arch  # noqa: E402
 from cascadeprune.cli import resolve_arch  # noqa: E402
 from cascadeprune.data import Dataset, synthetic_dataset  # noqa: E402
 from cascadeprune.distill import DistillConfig  # noqa: E402
@@ -79,7 +82,10 @@ classifier in=40 out=3
 
 # name -> (arch loader, dtypes, batch size, pretrain epochs)
 NETS = {
-    "toy_residual": (lambda: load_arch(TOY_RESIDUAL), ("f32", "f64"), 8, 1),
+    # named, not by its path: a checkpoint's meta holds the arch name
+    "toy_residual": (lambda: parse_arch(Path(TOY_RESIDUAL).read_text(),
+                                        name="toy_residual"),
+                     ("f32", "f64"), 8, 1),
     "depthwise_toy": (lambda: parse_arch(DEPTHWISE_TOY, name="dw"),
                       ("f32", "f64"), 8, 1),
     "mobilenetv1_cifar100": (lambda: resolve_arch("mobilenetv1_cifar100"),
@@ -174,9 +180,15 @@ def watch_steps(emit: Printer) -> None:
     ModelHierarchy.route_gamma_gradients = watched_route
 
 
-def named(emit: Printer, h: ModelHierarchy, stage: str) -> None:
-    for name, a in sorted(h.named_tensors().items()):
+def saved(emit: Printer, trainer: Trainer, stage: str) -> None:
+    """Every named tensor, and the checkpoint file's bytes."""
+    for name, a in sorted(trainer.h.named_tensors().items()):
         emit(f"{stage} {name}", a)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.ckpt")
+        trainer.save(path)
+        with open(path, "rb") as fh:
+            emit(f"{stage} checkpoint", np.frombuffer(fh.read(), np.uint8))
 
 
 def eval_logits(emit: Printer, h: ModelHierarchy, x: np.ndarray,
@@ -211,13 +223,13 @@ def run_net(emit: Printer, net: str, dtype: str, seed: int) -> None:
     trainer = Trainer(h, data, cfg)
     if pretrain:
         trainer.pretrain_top(pretrain)
-        named(emit, h, "pretrain")
+        saved(emit, trainer, "pretrain")
     else:
         h.freeze_teacher()
     trainer.joint_epoch()
-    named(emit, h, "joint")
+    saved(emit, trainer, "joint")
     trainer.finetune_epoch()
-    named(emit, h, "finetune")
+    saved(emit, trainer, "finetune")
     x = synthetic_dataset(seed + 1, max(batch, arch.classes), arch.classes,
                           arch.in_h, arch.in_c, split="test").images[:batch]
     eval_logits(emit, h, x.astype(ad.DTYPES[dtype]), hint_ids)
