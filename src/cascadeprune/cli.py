@@ -31,7 +31,7 @@ from .hierarchy import (HierarchyError, ModelHierarchy, checkpoint_mask,
                         derive_ta_keep_ratios)
 from .masking import MaskError
 from .training import (TrainConfig, Trainer, TrainingError, evaluate,
-                       evaluate_frozen, model_tensors)
+                       evaluate_frozen, load_tensors, read_training_checkpoint)
 
 DATA_ROOT_ENV = "CASCADEPRUNE_DATA_ROOT"
 SHIPPED_ARCHS = ("vgg16_cifar10", "resnet50_imagenet", "mobilenetv1_cifar100")
@@ -274,14 +274,6 @@ def _write_stats_csv(report, path: str) -> None:
         w.writerow(["total", "", report.total_params, report.total_flops])
 
 
-def _read_training_checkpoint(path: str) -> tuple[dict, dict]:
-    """The tensors and meta of the training checkpoint at path."""
-    tensors, meta = load_checkpoint(path)
-    if meta.get("kind") != "cascade-train":
-        raise CLIError(f"{path}: not a training checkpoint")
-    return tensors, meta
-
-
 def _checkpoint_hierarchy(cfg: dict, given: set[str],
                           meta: dict) -> ModelHierarchy:
     """A fresh hierarchy of a training checkpoint's arch, unless the
@@ -349,14 +341,14 @@ def cmd_finetune(args) -> int:
         raise CLIError("--checkpoint is required for finetune")
     if not cfg["out"]:
         raise CLIError("--out is required for finetune")
-    tensors, meta = _read_training_checkpoint(args.checkpoint)
+    tensors, meta = read_training_checkpoint(args.checkpoint)
     h = _checkpoint_hierarchy(cfg, given, meta)
     train, test = resolve_datasets(cfg)
     augment = build_augment(cfg, h.arch, train)
     trainer = Trainer(h, train, build_train_config(cfg, augment),
                       val_data=test, out_dir=cfg["out"])
     write_resolved_config(cfg, cfg["out"])
-    trainer.load_state(tensors, meta, source=args.checkpoint)
+    trainer.load_state(tensors, meta)
     del tensors  # let the loaded weights go once training replaces them
     try:
         _stage_epochs(trainer, cfg["out"], trainer.finetune_epoch,
@@ -384,9 +376,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, given = resolve_config(args)
-    tensors, meta = _read_training_checkpoint(args.checkpoint)
+    tensors, meta = read_training_checkpoint(args.checkpoint)
     h = _checkpoint_hierarchy(cfg, given, meta)
-    h.load_named_tensors(model_tensors(tensors))
+    load_tensors(h, tensors)
     train, test = resolve_datasets(cfg)
     augment = None
     if cfg["normalize"]:
@@ -410,10 +402,11 @@ def cmd_export(args) -> int:
         raise DataError(f"no metrics file at {metrics_path}")
     if not os.path.exists(ckpt_path):
         raise DataError(f"no checkpoint at {ckpt_path}")
-    tensors, meta = _read_training_checkpoint(ckpt_path)
-    arch = resolve_arch(args.arch or meta["arch"])
-    masks = [checkpoint_mask(tensors, arch, slot)
-             for slot in range(len(meta["keep_ratios"]))]
+    tensors, meta = read_training_checkpoint(ckpt_path)
+    h = ModelHierarchy(resolve_arch(args.arch or meta["arch"]),
+                       meta["keep_ratios"])
+    load_tensors(h, tensors)
+    masks = [slot.state.mask for slot in h.slots]
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
 

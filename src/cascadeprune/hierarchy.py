@@ -434,14 +434,16 @@ class ModelHierarchy:
     def load_named_tensors(self, table: dict[str, np.ndarray]) -> None:
         """Restore state saved by named_tensors, replacing every object.
         An unknown or missing name or a wrong shape raises HierarchyError
-        naming the tensor before anything is assigned. A hierarchy saved
-        without a frozen teacher loads into one without."""
+        naming the tensor before anything is assigned, the frozen teacher
+        included: a table without one drops it, one with it restores it."""
+        probe = copy.copy(self)  # this hierarchy but for its frozen teacher
         if not any(k.startswith("frozen.") for k in table):
-            self.frozen = None
-        elif self.frozen is None:
-            self.freeze_teacher()  # allocate the structures, then overwrite
-        _check_tensors(table, {k: v.shape for k, v in self.named_tensors().items()})
+            probe.frozen = None
+        elif probe.frozen is None:
+            probe.freeze_teacher()  # allocate the structures, then overwrite
+        check_tensors(table, {k: v.shape for k, v in probe.named_tensors().items()})
 
+        self.frozen = probe.frozen
         params, bns = self._saved_state()
         for p in params:
             p.assign(table[p.name])
@@ -460,7 +462,7 @@ def _layer_names(kind: str, slot: int, arch: ArchSpec) -> list[tuple[int, str]]:
     return [(lid, f"slot{slot}.{kind}.{lid}") for lid in sorted(arch.maskable_sizes)]
 
 
-def _check_tensors(table: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
+def check_tensors(table: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
     """Raise HierarchyError naming the first tensor of table not in want
     (name -> shape), of want not in table, or of a shape want differs on."""
     for problem, names in (("has unknown", table.keys() - want.keys()),
@@ -480,7 +482,7 @@ def checkpoint_mask(table: dict[str, np.ndarray], arch: ArchSpec,
     mask of that slot."""
     names = _layer_names("mask", slot, arch)
     ours = {k: v for k, v in table.items() if k.startswith(f"slot{slot}.mask.")}
-    _check_tensors(ours, {n: (arch.maskable_sizes[lid],) for lid, n in names})
+    check_tensors(ours, {n: (arch.maskable_sizes[lid],) for lid, n in names})
     return FilterMask({lid: table[name].astype(bool) for lid, name in names})
 
 

@@ -113,19 +113,10 @@ class SGDNesterov:
         for p in self.params:
             p.zero_grad()
 
-    def state_tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{p.name}.momentum": self.buffers[id(p)]
+    def state_tensors(self) -> dict[str, np.ndarray]:
+        """Checkpoint name -> momentum buffer, live: a load writes into it."""
+        return {f"opt.{p.name}.momentum": self.buffers[id(p)]
                 for p in self.params}
-
-    def load_state_tensors(self, prefix: str, table: dict[str, np.ndarray]) -> None:
-        for p in self.params:
-            key = f"{prefix}.{p.name}.momentum"
-            if key not in table:
-                raise KeyError(f"optimizer state missing {key!r}")
-            if table[key].shape != p.shape:
-                raise ValueError(f"optimizer state {key!r} has shape "
-                                 f"{table[key].shape}, expected {p.shape}")
-            self.buffers[id(p)] = table[key].astype(p.data.dtype).copy()
 
 
 class ScoreOptimizer:
@@ -133,17 +124,21 @@ class ScoreOptimizer:
 
     kind 'sgd' is plain gradient descent (no momentum, no decay: scores
     are decay-exempt by definition); kind 'rmsprop' normalizes per-score
-    step sizes, which spreads pruning more evenly across layers.
+    step sizes, which spreads pruning more evenly across layers, from
+    zero running squares for every layer of every slot in scores.
     """
 
-    def __init__(self, kind: str = "sgd", rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, scores: dict[int, "ImportanceScores"],
+                 kind: str = "sgd", rho: float = 0.9, eps: float = 1e-8):
         if kind not in ("sgd", "rmsprop"):
             raise ValueError(f"score optimizer kind must be sgd or rmsprop, "
                              f"got {kind!r}")
         self.kind = kind
         self.rho = rho
         self.eps = eps
-        self.sq: dict[tuple[int, int], np.ndarray] = {}
+        self.sq: dict[tuple[int, int], np.ndarray] = {} if kind == "sgd" else {
+            (s, lid): np.zeros_like(v)
+            for s, sc in scores.items() for lid, v in sc.layers.items()}
 
     def step(self, scores_by_slot: dict[int, "ImportanceScores"],
              grads_by_slot: dict[int, dict[int, np.ndarray]], lr: float) -> None:
@@ -154,23 +149,11 @@ class ScoreOptimizer:
                 if self.kind == "sgd":
                     layers[lid] = v - lr * g
                 else:
-                    key = (slot_idx, lid)
-                    if key not in self.sq:
-                        self.sq[key] = np.zeros_like(v)
                     layers[lid] = rmsprop_update(v, g.astype(v.dtype),
-                                                 self.sq[key], lr,
+                                                 self.sq[(slot_idx, lid)], lr,
                                                  self.rho, self.eps)
 
-    def state_tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.slot{s}.layer{l}.sq": v
-                for (s, l), v in sorted(self.sq.items())}
-
-    def load_state_tensors(self, prefix: str, table: dict[str, np.ndarray]) -> None:
-        self.sq = {}
-        mark = f"{prefix}.slot"
-        for key, v in table.items():
-            if not key.startswith(mark) or not key.endswith(".sq"):
-                continue
-            body = key[len(mark):-len(".sq")]
-            s, l = body.split(".layer")
-            self.sq[(int(s), int(l))] = v.copy()
+    def state_tensors(self) -> dict[str, np.ndarray]:
+        """Checkpoint name -> running square, live: a load writes into it."""
+        return {f"scoreopt.slot{s}.layer{lid}.sq": v
+                for (s, lid), v in sorted(self.sq.items())}

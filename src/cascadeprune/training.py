@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .arch import count_stats
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomically
 from .data import AugmentConfig, Dataset, batches
 from .distill import DistillConfig, slot_loss
-from .hierarchy import ModelHierarchy, SlotForward
+from .hierarchy import ModelHierarchy, SlotForward, check_tensors
 from .optim import LRSchedule, ScoreOptimizer, SGDNesterov, lr_at
 
 
@@ -116,10 +116,40 @@ def evaluate_frozen(h: ModelHierarchy, ds: Dataset, batch_size: int = 256,
     return _accuracy(h.forward_frozen, ds, batch_size, augment)
 
 
-def model_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A training checkpoint's tensors without the optimizers' state."""
-    return {k: v for k, v in tensors.items()
-            if not k.startswith(("opt.", "scoreopt."))}
+def read_training_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and meta of the training checkpoint at path. TrainingError
+    names the first key its meta or the meta's state lacks or should not have."""
+    tensors, meta = load_checkpoint(path)
+    if meta.get("kind") != "cascade-train":
+        raise TrainingError(f"{path}: not a training checkpoint")
+    state = meta.get("state")
+    for what, have, want in (("meta", meta, {"kind", "arch", "keep_ratios", "state"}),
+                             ("state", state if isinstance(state, dict) else {},
+                              {f.name for f in fields(TrainState)})):
+        odd = sorted(have.keys() ^ want)
+        if odd:
+            problem = "unknown" if odd[0] in have else "no"
+            raise TrainingError(f"{path}: checkpoint {what} has {problem} key {odd[0]!r}")
+    return tensors, meta
+
+
+def load_tensors(h: ModelHierarchy, tensors: dict[str, np.ndarray],
+                 weight_opt: SGDNesterov | None = None,
+                 score_opt: ScoreOptimizer | None = None) -> None:
+    """Load a training checkpoint's tensors into h and the optimizers (by
+    default a Trainer's over h, rmsprop if the table has score state) once
+    all are checked: HierarchyError names the first wrong tensor."""
+    if weight_opt is None:
+        kind = "rmsprop" if any(k.startswith("scoreopt.") for k in tensors) else "sgd"
+        weight_opt = SGDNesterov(h.all_parameters())
+        score_opt = ScoreOptimizer({s.index: s.scores for s in h.slots[:-1]}, kind)
+    opt_state = {**weight_opt.state_tensors(), **score_opt.state_tensors()}
+    # h checks the rest of the table, unknown optimizer names among it
+    check_tensors({k: v for k, v in tensors.items() if k in opt_state},
+                  {k: v.shape for k, v in opt_state.items()})
+    h.load_named_tensors({k: v for k, v in tensors.items() if k not in opt_state})
+    for name, v in opt_state.items():
+        v[...] = tensors[name]
 
 
 class MetricsWriter:
@@ -184,7 +214,8 @@ class Trainer:
                                    cfg.cycle_decay, steps)
         self.weight_opt = SGDNesterov(h.all_parameters(), cfg.momentum,
                                       cfg.weight_decay)
-        self.score_opt = ScoreOptimizer(cfg.score_optimizer)
+        self.score_opt = ScoreOptimizer({s.index: s.scores for s in h.slots[:-1]},
+                                        cfg.score_optimizer)
         self.state = TrainState(seed=cfg.seed)
         self.eval_augment = None
         if cfg.augment is not None and cfg.augment.normalization is not None:
@@ -392,35 +423,26 @@ class Trainer:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:
-        tensors = dict(self.h.named_tensors())
-        tensors.update(self.weight_opt.state_tensors("opt"))
-        tensors.update(self.score_opt.state_tensors("scoreopt"))
-        meta = {
-            "kind": "cascade-train",
-            "arch": self.h.arch.name,
-            "keep_ratios": self.h.keep_ratios,
-            "state": asdict(self.state),
-        }
+        tensors = {**self.h.named_tensors(), **self.weight_opt.state_tensors(),
+                   **self.score_opt.state_tensors()}
+        meta = {"kind": "cascade-train", "arch": self.h.arch.name,
+                "keep_ratios": self.h.keep_ratios, "state": asdict(self.state)}
         save_checkpoint(path, tensors, meta)
 
     def load(self, path: str) -> None:
-        self.load_state(*load_checkpoint(path), source=path)
+        self.load_state(*read_training_checkpoint(path))
 
-    def load_state(self, tensors: dict[str, np.ndarray], meta: dict,
-                   source: str = "checkpoint") -> None:
-        """Resume from a checkpoint's tensors and meta, already read from
-        source. Metrics rows at or past the checkpoint's step, written
-        by a run that went on after it, are dropped, so that resuming
-        into the same out dir does not repeat them."""
-        if meta.get("kind") != "cascade-train":
-            raise TrainingError(f"{source}: not a training checkpoint")
-        if meta.get("keep_ratios") != self.h.keep_ratios:
+    def load_state(self, tensors: dict[str, np.ndarray], meta: dict) -> None:
+        """Resume from a checkpoint's tensors and meta as read_training_checkpoint
+        returns them; a rejected one leaves the trainer as it was. Metrics rows
+        at or past the checkpoint's step, written by a run that went on after
+        it, are dropped, so that resuming into the same out dir does not
+        repeat them."""
+        if meta["keep_ratios"] != self.h.keep_ratios:
             raise TrainingError(f"checkpoint keep ratios "
-                                f"{meta.get('keep_ratios')} do not match the "
+                                f"{meta['keep_ratios']} do not match the "
                                 f"hierarchy's {self.h.keep_ratios}")
-        self.h.load_named_tensors(model_tensors(tensors))
-        self.weight_opt.load_state_tensors("opt", tensors)
-        self.score_opt.load_state_tensors("scoreopt", tensors)
+        load_tensors(self.h, tensors, self.weight_opt, self.score_opt)
         self.state = TrainState(**meta["state"])
         self.metrics.drop_from(self.state.step)
 

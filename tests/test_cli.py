@@ -354,6 +354,7 @@ class TestExport:
     def test_reads_the_checkpoint_once(self, trained_run, tiny_arch,
                                        monkeypatch):
         import cascadeprune.cli as cli
+        import cascadeprune.training as training
         reads = []
 
         def counting(path):
@@ -361,6 +362,7 @@ class TestExport:
             return load_checkpoint(path)
 
         monkeypatch.setattr(cli, "load_checkpoint", counting)
+        monkeypatch.setattr(training, "load_checkpoint", counting)
         assert main(["export", trained_run, "--arch", tiny_arch]) == 0
         assert len(reads) == 1
 
@@ -384,6 +386,86 @@ class TestExport:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["export", str(tmp_path / "nope")]) == 2
+
+
+@pytest.fixture(scope="module")
+def rmsprop_run(tmp_path_factory, tiny_arch):
+    """A run whose checkpoint holds every kind of tensor: shared kernels,
+    slot state, a frozen teacher, momentum and rmsprop score state."""
+    out = str(tmp_path_factory.mktemp("rmsprop"))
+    rc = main(["train", "--arch", tiny_arch, *SYNTH_FLAGS,
+               "--keep-ratio", "0.5", "--ta-divisors", "2.0",
+               "--score-optimizer", "rmsprop", "--pretrain-epochs", "1",
+               "--joint-epochs", "1", "--finetune-epochs", "0",
+               "--out", out])
+    assert rc == 0
+    return out
+
+
+def _corruptions():
+    """(id, change to the meta, change to the tensors, what the error
+    names). Each drops a meta key or a state field, adds an unknown
+    state field, or drops or shortens the first tensor of a prefix."""
+    out = [("none", None, None, None)]
+    for key in ("kind", "arch", "keep_ratios", "state"):
+        out.append((f"meta-{key}", ("drop", key), None,
+                    None if key == "kind" else repr(key)))
+    out.append(("state-epoch", ("drop state", "epoch"), None, "'epoch'"))
+    out.append(("state-unknown", ("add state", "bogus"), None, "'bogus'"))
+    for prefix in ("shared.", "slot0.", "frozen.", "opt.", "scoreopt."):
+        for how in ("drop", "short"):
+            out.append((f"{how}-{prefix}", None, (how, prefix), prefix))
+    return out
+
+
+class TestCorruptCheckpoints:
+    @pytest.mark.parametrize("command", ["finetune", "eval", "export"])
+    @pytest.mark.parametrize("label, meta_change, tensor_change, named",
+                             _corruptions(), ids=[c[0] for c in _corruptions()])
+    def test_every_command_rejects_a_corrupt_checkpoint(
+            self, rmsprop_run, tiny_arch, tmp_path, capsys, command, label,
+            meta_change, tensor_change, named):
+        """Each single corruption of a training checkpoint is a
+        validation error (exit 1) naming what is wrong, in every command
+        that reads one; the untouched checkpoint runs."""
+        tensors, meta = load_checkpoint(os.path.join(rmsprop_run, "latest.ckpt"))
+        if meta_change is not None:
+            how, key = meta_change
+            if how == "drop":
+                del meta[key]
+            elif how == "drop state":
+                del meta["state"][key]
+            else:
+                meta["state"][key] = 0
+        if tensor_change is not None:
+            how, prefix = tensor_change
+            name = min(k for k in tensors if k.startswith(prefix))
+            if how == "drop":
+                del tensors[name]
+            else:
+                tensors[name] = tensors[name][:-1]
+            named = repr(name)
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(os.path.join(rmsprop_run, "metrics.csv"), run)
+        ckpt = str(run / "latest.ckpt")
+        save_checkpoint(ckpt, tensors, meta)
+        argv = {"finetune": ["finetune", "--checkpoint", ckpt, "--arch",
+                             tiny_arch, *SYNTH_FLAGS, "--score-optimizer",
+                             "rmsprop", "--finetune-epochs", "1",
+                             "--out", str(tmp_path / "ft")],
+                "eval": ["eval", "--checkpoint", ckpt, "--arch", tiny_arch,
+                         *SYNTH_FLAGS],
+                "export": ["export", str(run), "--arch", tiny_arch,
+                           "--out", str(tmp_path / "ex")]}[command]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if label == "none":
+            assert rc == 0, err
+            return
+        assert rc == 1, err
+        if named is not None:
+            assert named in err
 
 
 class TestInvocation:

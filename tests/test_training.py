@@ -587,21 +587,48 @@ class TestPersistence:
             assert want[k].tobytes() == got[k].tobytes(), k
         assert resumed.metrics.rows == full.metrics.rows[-len(resumed.metrics.rows):]
 
-    @pytest.mark.parametrize("name, error", [
-        ("slot0.mask.0", HierarchyError),
-        ("slot0.scores.0", HierarchyError),
-        ("slot0.bn0.rmean", HierarchyError),
-        ("slot0.bn0.rvar", HierarchyError),
-        ("frozen.bn0.rmean", HierarchyError),
-        ("frozen.bn0.rvar", HierarchyError),
-        ("shared.conv1.w", HierarchyError),
-        ("opt.slot0.bn0.gamma.momentum", ValueError),
+    @staticmethod
+    def _trained(seed: int, **cfg) -> Trainer:
+        """A trainer after one pretrain and one joint epoch, so that its
+        frozen teacher, momentum and score state are all in use."""
+        t = Trainer(toy_hierarchy(seed=seed), toy_data(seed=6, n=16),
+                    quiet_config(**cfg))
+        t.pretrain_top(1)
+        t.joint_epoch()
+        return t
+
+    @staticmethod
+    def _everything(t: Trainer) -> dict:
+        """Copies of all that a load replaces: every hierarchy tensor,
+        whether there is a frozen teacher, every momentum buffer, the
+        score optimizer's state and the train state."""
+        out = {"has a frozen teacher": t.h.frozen is not None,
+               "train state": repr(t.state)}
+        for table in (t.h.named_tensors(), t.weight_opt.state_tensors(),
+                      t.score_opt.state_tensors()):
+            out.update({k: v.copy() for k, v in table.items()})
+        return out
+
+    def _assert_holds(self, t: Trainer, want: dict) -> None:
+        got = self._everything(t)
+        assert set(got) == set(want)
+        for k in want:
+            assert np.array_equal(want[k], got[k]), k
+
+    @pytest.mark.parametrize("name", [
+        "slot0.mask.0",
+        "slot0.scores.0",
+        "slot0.bn0.rmean",
+        "slot0.bn0.rvar",
+        "frozen.bn0.rmean",
+        "frozen.bn0.rvar",
+        "shared.conv1.w",
+        "opt.slot0.bn0.gamma.momentum",
     ])
     def test_a_tensor_of_the_wrong_shape_is_rejected_by_name(
-            self, tmp_path, name, error):
+            self, tmp_path, name):
         """A checkpoint tensor one entry short along its first axis is
-        rejected with its name; a rejected model tensor leaves every
-        tensor of the hierarchy as it was."""
+        rejected with its name, and leaves the trainer as it was."""
         a = self._fresh()
         a.pretrain_top(1)
         path = str(tmp_path / "state.ckpt")
@@ -609,14 +636,67 @@ class TestPersistence:
         tensors, meta = load_checkpoint(path)
         tensors[name] = tensors[name][:-1]
 
-        b = self._fresh(seed=9)
-        before = {k: v.copy() for k, v in b.h.named_tensors().items()}
-        with pytest.raises(error, match=re.escape(repr(name))):
+        b = self._trained(seed=9)
+        before = self._everything(b)
+        with pytest.raises(HierarchyError, match=re.escape(repr(name))):
             b.load_state(tensors, meta)
-        if error is HierarchyError:
-            after = b.h.named_tensors()
-            for k in before:
-                assert np.array_equal(before[k], after[k]), k
+        self._assert_holds(b, before)
+
+    @pytest.mark.parametrize("case, kind, name", [
+        ("missing", "sgd", "opt.shared.conv1.w.momentum"),
+        ("unknown", "sgd", "opt.nothing.momentum"),
+        ("unknown", "sgd", "scoreopt.slot7.layer9.sq"),
+        ("short", "rmsprop", "scoreopt.slot0.layer0.sq"),
+        ("short, from a run without a teacher", "sgd", "slot0.mask.0"),
+    ])
+    def test_a_rejected_load_changes_nothing(self, tmp_path, case, kind,
+                                             name):
+        """A missing, unknown or short tensor of any part of the table,
+        optimizer state included, is rejected with its name before
+        anything is assigned: the model, the frozen teacher (also when
+        the table has none), the momentum and the score state stay."""
+        a = Trainer(toy_hierarchy(seed=5), toy_data(seed=6, n=16),
+                    quiet_config(score_optimizer=kind))
+        if "without a teacher" not in case:
+            a.pretrain_top(1)
+            a.joint_epoch()
+        path = str(tmp_path / "state.ckpt")
+        a.save(path)
+        tensors, meta = load_checkpoint(path)
+        if case == "missing":
+            del tensors[name]
+        elif case == "unknown":
+            tensors[name] = np.zeros(3)
+        else:
+            tensors[name] = tensors[name][:-1]
+
+        b = self._trained(seed=9, score_optimizer=kind)
+        assert b.h.frozen is not None
+        before = self._everything(b)
+        with pytest.raises(HierarchyError, match=re.escape(repr(name))):
+            b.load_state(tensors, meta)
+        self._assert_holds(b, before)
+
+    def test_an_rmsprop_checkpoint_holds_score_state_from_the_start(
+            self, tmp_path):
+        """Under rmsprop every scored slot's layers have a running square,
+        zero until routed, so a checkpoint saved before any joint step
+        resumes; an sgd trainer rejects it by name."""
+        a = Trainer(toy_hierarchy(seed=5), toy_data(seed=6, n=16),
+                    quiet_config(score_optimizer="rmsprop"))
+        path = str(tmp_path / "state.ckpt")
+        a.save(path)
+        tensors, _ = load_checkpoint(path)
+        sq = {k: v for k, v in tensors.items() if k.startswith("scoreopt.")}
+        assert set(sq) == {"scoreopt.slot0.layer0.sq",
+                           "scoreopt.slot0.layer1.sq"}
+        assert all(not v.any() for v in sq.values())
+        b = Trainer(toy_hierarchy(seed=9), toy_data(seed=6, n=16),
+                    quiet_config(score_optimizer="rmsprop"))
+        b.load(path)
+        self._assert_holds(b, self._everything(a))
+        with pytest.raises(HierarchyError, match="scoreopt.slot0.layer0.sq"):
+            self._fresh().load(path)
 
     def test_wrong_ratios_rejected(self, tmp_path):
         a = self._fresh()

@@ -12,7 +12,8 @@ Each net gets a hierarchy with the benchmark's keep ratios (student 0.5,
 assistants from divisors 1.5 and 2.5) and a frozen teacher, on synthetic
 data at a fixed seed. The toys pretrain the top slot for one epoch;
 then every net runs one joint epoch and one fine-tune epoch (two steps
-each). The digests cover:
+each). Every net steps its scores by SGD but toy_residual_rmsprop,
+which is toy_residual under RMSProp score steps. The digests cover:
 
 - every gradient that reaches the optimizer, at every step;
 - every routed score gradient of every joint step;
@@ -29,9 +30,12 @@ plan step's op, register, index, output size, inputs per channel, taps
 and the layer it shares with items; each layer's fields and label; the
 block structure of items; and the maskable sizes.
 
-The toys run in float32 and float64, vgg16_cifar10 and
-mobilenetv1_cifar100 in float32 at batch 32. Set the BLAS thread count
-(for example OPENBLAS_NUM_THREADS=1) the same way for both trees.
+The toys run in float32 and float64 (toy_residual_rmsprop in float32
+only), vgg16_cifar10 and mobilenetv1_cifar100 in float32 at batch 32.
+Set the BLAS thread count (for example OPENBLAS_NUM_THREADS=1) the same
+way for both trees. The first line, not a digest, names the BLAS numpy
+was built with, its version and the two thread-count variables, since
+the bits are only claimed for one BLAS at one thread count.
 """
 
 from __future__ import annotations
@@ -80,18 +84,22 @@ relu
 classifier in=40 out=3
 """
 
-# name -> (arch loader, dtypes, batch size, pretrain epochs)
-NETS = {
+
+def toy_residual():
     # named, not by its path: a checkpoint's meta holds the arch name
-    "toy_residual": (lambda: parse_arch(Path(TOY_RESIDUAL).read_text(),
-                                        name="toy_residual"),
-                     ("f32", "f64"), 8, 1),
+    return parse_arch(Path(TOY_RESIDUAL).read_text(), name="toy_residual")
+
+
+# name -> (arch loader, dtypes, batch size, pretrain epochs, score optimizer)
+NETS = {
+    "toy_residual": (toy_residual, ("f32", "f64"), 8, 1, "sgd"),
+    "toy_residual_rmsprop": (toy_residual, ("f32",), 8, 1, "rmsprop"),
     "depthwise_toy": (lambda: parse_arch(DEPTHWISE_TOY, name="dw"),
-                      ("f32", "f64"), 8, 1),
+                      ("f32", "f64"), 8, 1, "sgd"),
     "mobilenetv1_cifar100": (lambda: resolve_arch("mobilenetv1_cifar100"),
-                             ("f32",), 32, 0),
+                             ("f32",), 32, 0, "sgd"),
     "vgg16_cifar10": (lambda: resolve_arch("vgg16_cifar10"),
-                      ("f32",), 32, 0),
+                      ("f32",), 32, 0, "sgd"),
 }
 
 
@@ -123,6 +131,14 @@ class Printer:
 
     def __call__(self, label: str, a) -> None:
         self.out.write(f"{self.prefix} {label} {digest(a)}\n")
+
+
+def blas_line() -> str:
+    """The BLAS numpy was built with, and the thread-count variables."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{v}={os.environ.get(v, 'unset')}"
+                       for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return f"blas {blas.get('name')} {blas.get('version')} {threads}"
 
 
 def describe(arch) -> str:
@@ -207,7 +223,7 @@ def eval_logits(emit: Printer, h: ModelHierarchy, x: np.ndarray,
 
 
 def run_net(emit: Printer, net: str, dtype: str, seed: int) -> None:
-    load, _, batch, pretrain = NETS[net]
+    load, _, batch, pretrain, score_optimizer = NETS[net]
     arch = load()
     h = ModelHierarchy(arch, derive_ta_keep_ratios(0.5, (1.5, 2.5)),
                        seed=seed, dtype=dtype)
@@ -217,6 +233,7 @@ def run_net(emit: Printer, net: str, dtype: str, seed: int) -> None:
                    arch.classes, "train")
     hint_ids = tuple(sorted(arch.maskable_sizes)[1::3])
     cfg = TrainConfig(batch_size=batch, base_lr=0.05, score_lr=0.5, seed=seed,
+                      score_optimizer=score_optimizer,
                       distill=DistillConfig(tau=4.0, lambda_kd=0.4,
                                             lambda_hint=0.001,
                                             hint_layers=hint_ids))
@@ -241,6 +258,7 @@ def main(argv=None) -> int:
                     default=list(NETS))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    print(blas_line())
     emit = Printer(sys.stdout)
     emit.start("arch")
     for name, source in ARCHS.items():
