@@ -133,13 +133,10 @@ def resolve_config(args) -> tuple[dict, set[str]]:
             raise CLIError(f"{args.config}: unknown config key "
                            f"{sorted(unknown)[0]!r}")
         for key, value in loaded.items():
-            typ = CONFIG_KEYS[key][0]
-            if value is not None and typ in (_floats, _ints) \
-                    and not isinstance(value, list):
-                value = typ(value)
-            cfg[key] = value
             if value is not None:
+                value = _config_value(args.config, key, value)
                 given.add(key)
+            cfg[key] = value
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -149,6 +146,27 @@ def resolve_config(args) -> tuple[dict, set[str]]:
         raise CLIError(f"dataset must be cifar10, mnist, or synthetic, "
                        f"got {cfg['dataset']!r}")
     return cfg, given
+
+
+def _config_value(path: str, key: str, value):
+    """A non-null --config value checked against its key's type, a list
+    key's string parsed; CLIError names the file and the key."""
+    typ = CONFIG_KEYS[key][0]
+    listed = typ in (_ints, _floats)
+    if listed and isinstance(value, str):
+        try:
+            return typ(value)
+        except ValueError:
+            pass
+    want = {_ints: int, _floats: (int, float), float: (int, float)}.get(typ, typ)
+    items = value if listed and isinstance(value, list) else [value]
+    if (items is value or not listed) and all(
+            isinstance(v, want) and (typ is bool or not isinstance(v, bool))
+            for v in items):
+        return value
+    kind = {_ints: "a list of integers", _floats: "a list of numbers"}.get(
+        typ, typ.__name__)
+    raise CLIError(f"{path}: config key {key!r} takes {kind}, got {value!r}")
 
 
 def resolve_ratios(cfg: dict) -> list[float]:
@@ -295,13 +313,35 @@ def _stage_epochs(trainer: Trainer, out_dir: str, runner, count: int) -> None:
         copy_checkpoint(path, os.path.join(out_dir, "latest.ckpt"))
 
 
-def _final_report(trainer: Trainer, test: Dataset) -> None:
-    h = trainer.h
-    baseline = count_stats(h.arch)
-    student = count_stats(h.arch, h.student.state.mask)
-    print(compression_report(baseline, student))
+def _run_stages(cfg: dict, hierarchy, stages, checkpoint: str | None) -> int:
+    """Train a hierarchy(meta of `checkpoint`, or None): build the Trainer,
+    write config.yaml, load the checkpoint or else pretrain, run each
+    stage's `<stage>_epochs` epochs with a checkpoint after every epoch,
+    and print the final report."""
+    tensors, meta = read_training_checkpoint(checkpoint) if checkpoint \
+        else (None, None)
+    h = hierarchy(meta)
+    train, test = resolve_datasets(cfg)
+    trainer = Trainer(h, train, build_train_config(cfg, build_augment(cfg, h.arch, train)),
+                      val_data=test, out_dir=cfg["out"])
+    write_resolved_config(cfg, cfg["out"])
+    try:
+        if tensors is not None:
+            trainer.load_state(tensors, meta)
+            del tensors  # let the loaded weights go once training replaces them
+        elif cfg["pretrain_epochs"] > 0:
+            trainer.pretrain_top(cfg["pretrain_epochs"])
+            trainer.save(os.path.join(cfg["out"], "latest.ckpt"))
+        for stage in stages:
+            _stage_epochs(trainer, cfg["out"], getattr(trainer, f"{stage}_epoch"),
+                          cfg[f"{stage}_epochs"])
+    finally:
+        trainer.close()
+    print(compression_report(count_stats(h.arch),
+                             count_stats(h.arch, h.student.state.mask)))
     acc = evaluate(h, 0, test, augment=trainer.eval_augment)
     print(f"student test accuracy: {acc:.4f}")
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -310,29 +350,10 @@ def cmd_train(args) -> int:
         raise CLIError("--out is required for train")
     ratios = resolve_ratios(cfg)
     arch = resolve_arch(cfg["arch"])
-    train, test = resolve_datasets(cfg)
-    augment = build_augment(cfg, arch, train)
-    h = ModelHierarchy(arch, ratios, seed=cfg["seed"],
-                       min_filters=cfg["min_filters"])
-    trainer = Trainer(h, train, build_train_config(cfg, augment),
-                      val_data=test, out_dir=cfg["out"])
-    write_resolved_config(cfg, cfg["out"])
-    try:
-        if cfg["pretrained"]:
-            trainer.load(cfg["pretrained"])
-        elif cfg["pretrain_epochs"] > 0:
-            trainer.pretrain_top(cfg["pretrain_epochs"])
-            trainer.save(os.path.join(cfg["out"], "latest.ckpt"))
-        _stage_epochs(trainer, cfg["out"], trainer.joint_epoch,
-                      cfg["joint_epochs"])
-        _stage_epochs(trainer, cfg["out"], trainer.intermediate_epoch,
-                      cfg["intermediate_epochs"])
-        _stage_epochs(trainer, cfg["out"], trainer.finetune_epoch,
-                      cfg["finetune_epochs"])
-    finally:
-        trainer.close()
-    _final_report(trainer, test)
-    return 0
+    return _run_stages(
+        cfg, lambda meta: ModelHierarchy(arch, ratios, seed=cfg["seed"],
+                                         min_filters=cfg["min_filters"]),
+        ("joint", "intermediate", "finetune"), cfg["pretrained"])
 
 
 def cmd_finetune(args) -> int:
@@ -341,22 +362,8 @@ def cmd_finetune(args) -> int:
         raise CLIError("--checkpoint is required for finetune")
     if not cfg["out"]:
         raise CLIError("--out is required for finetune")
-    tensors, meta = read_training_checkpoint(args.checkpoint)
-    h = _checkpoint_hierarchy(cfg, given, meta)
-    train, test = resolve_datasets(cfg)
-    augment = build_augment(cfg, h.arch, train)
-    trainer = Trainer(h, train, build_train_config(cfg, augment),
-                      val_data=test, out_dir=cfg["out"])
-    write_resolved_config(cfg, cfg["out"])
-    trainer.load_state(tensors, meta)
-    del tensors  # let the loaded weights go once training replaces them
-    try:
-        _stage_epochs(trainer, cfg["out"], trainer.finetune_epoch,
-                      cfg["finetune_epochs"])
-    finally:
-        trainer.close()
-    _final_report(trainer, test)
-    return 0
+    return _run_stages(cfg, lambda meta: _checkpoint_hierarchy(cfg, given, meta),
+                       ("finetune",), args.checkpoint)
 
 
 def cmd_analyze(args) -> int:

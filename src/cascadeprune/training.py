@@ -9,6 +9,7 @@ to a CSV with one row per (batch, participating slot).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -32,6 +33,9 @@ CSV_HEADER = ("step,epoch,stage,slot,loss,task_loss,kd_loss,hint_loss,"
               "accuracy,lr,kept_filters_total,flops,params")
 
 STAGES = ("pretrain", "joint", "intermediate_finetune", "student_finetune")
+
+# pretraining's loss: plain cross-entropy, whatever the run distills with
+PLAIN = DistillConfig(lambda_kd=0, lambda_hint=0)
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,6 @@ class Trainer:
         self.data = train_data
         self.val_data = val_data
         self.cfg = cfg
-        self.out_dir = out_dir
         steps = math.ceil(train_data.n / cfg.batch_size)
         self.schedule = LRSchedule(cfg.base_lr, cfg.cycle_len_epochs,
                                    cfg.cycle_decay, steps)
@@ -234,12 +237,26 @@ class Trainer:
                                 f"{self.state.stage} -> {stage}")
         self.state.stage = stage
 
-    def _hint_ids(self):
-        return self.cfg.distill.hint_layers
-
     def _needs_teacher(self) -> bool:
         d = self.cfg.distill
-        return d.lambda_kd > 0 or (d.lambda_hint > 0 and len(self._hint_ids()) > 0)
+        return d.lambda_kd > 0 or (d.lambda_hint > 0 and len(d.hint_layers) > 0)
+
+    def _moving(self, slot_index: int) -> set[str]:
+        """The names of the shared parameters and the slot's own."""
+        return {p.name for p in self.h.shared_parameters()} \
+            | {p.name for p in self.h.slot_parameters(slot_index)}
+
+    def _teacher(self):
+        """The fine-tune teacher as (its eval forward of a batch, its accuracy
+        over a split): slot t, or the frozen teacher at t == len(slots)."""
+        h, t, augment = self.h, self.state.teacher_index, self.eval_augment
+        if t < len(h.slots):
+            return (functools.partial(h.forward_slot, t, mode="eval"),
+                    lambda ds: evaluate(h, t, ds, augment=augment))
+        if h.frozen is None:
+            raise TrainingError("teacher index points at the frozen model "
+                                "but none exists")
+        return h.forward_frozen, lambda ds: evaluate_frozen(h, ds, augment=augment)
 
     @staticmethod
     def _maps(fwd: SlotForward):
@@ -259,15 +276,40 @@ class Trainer:
             "flops": stats.total_flops, "params": stats.total_params,
         })
 
-    @staticmethod
-    def _batch_accuracy(logits: np.ndarray, one_hot: np.ndarray) -> float:
-        return float((logits.argmax(axis=1)
-                      == one_hot.argmax(axis=1)).mean())
-
     def _epoch_batches(self):
         return batches(self.data, self.cfg.batch_size, self.state.seed,
                        self.state.epoch, augment=self.cfg.augment,
                        shuffle=True)
+
+    # -- the one optimizer step ---------------------------------------------
+
+    def _step(self, one_hot, students, distill: DistillConfig,
+              moving: set[str] | None = None, routed=None) -> None:
+        """The step every stage takes: one backward over the losses of
+        students' (slot, forward, teacher forward or None), a weight step
+        over `moving` (all when None), routing over `routed` if given, and
+        each slot's row. Its callers hold the forwards, which die with them."""
+        total = None
+        records = []
+        for i, fwd, teacher in students:
+            loss, parts = slot_loss(
+                fwd.logits, one_hot, teacher.logits if teacher else None,
+                self._maps(fwd), self._maps(teacher or fwd), distill)
+            total = loss if total is None else ad.add(total, loss)
+            acc = (fwd.logits.data.argmax(axis=1) == one_hot.argmax(axis=1)).mean()
+            records.append((i, float(loss.data), parts, float(acc)))
+        ad.backward(total)
+        lr = lr_at(self.schedule, self.state.step)
+        self.weight_opt.step(lr, include=moving)
+        self.weight_opt.zero_grad()
+        if routed is not None:
+            grads = self.h.route_gamma_gradients(routed)
+            self.score_opt.step({i: self.h.slots[i].scores for i in grads},
+                                grads, self.cfg.score_lr)
+            self.h.refresh_masks()
+        for i, loss_v, parts, acc in records:
+            self._emit(i, loss_v, parts, acc, lr)
+        self.state.step += 1
 
     # -- pretraining of the top model ---------------------------------------
 
@@ -277,25 +319,17 @@ class Trainer:
         distillation weight is nonzero."""
         self._enter_stage("pretrain")
         top = len(self.h.slots) - 1
-        names = {p.name for p in self.h.shared_parameters()} \
-            | {p.name for p in self.h.slot_parameters(top)}
+        moving = self._moving(top)
         for _ in range(epochs):
             for images, one_hot in self._epoch_batches():
-                self._pretrain_step(images, one_hot, top, names)
+                self._pretrain_step(images, one_hot, top, moving)
             self.state.epoch += 1
         self.h.freeze_teacher()
 
-    def _pretrain_step(self, images, one_hot, top: int, names: set) -> None:
+    def _pretrain_step(self, images, one_hot, top: int, moving: set) -> None:
+        """The forward of one step of the top slot, with no teacher."""
         fwd = self.h.forward_slot(top, images, mode="train")
-        loss = ad.softmax_cross_entropy(fwd.logits, one_hot)
-        ad.backward(loss)
-        lr = lr_at(self.schedule, self.state.step)
-        self.weight_opt.step(lr, include=names)
-        self.weight_opt.zero_grad()
-        self._emit(top, float(loss.data),
-                   {"task": float(loss.data), "kd": 0.0, "hint": 0.0},
-                   self._batch_accuracy(fwd.logits.data, one_hot), lr)
-        self.state.step += 1
+        self._step(one_hot, [(top, fwd, None)], PLAIN, moving)
 
     # -- joint and intermediate stages --------------------------------------
 
@@ -305,120 +339,57 @@ class Trainer:
             raise TrainingError("the top slot distills from a frozen teacher; "
                                 "run pretrain_top() or load one first")
         self._cascade_epoch(update_scores=True)
-        self.state.epoch += 1
 
     def intermediate_epoch(self) -> None:
         """Joint training with the masks pinned: no score or mask updates."""
         self._enter_stage("intermediate_finetune")
         self._cascade_epoch(update_scores=False)
-        self.state.epoch += 1
 
     def _cascade_epoch(self, update_scores: bool) -> None:
+        route = update_scores and self.cfg.score_lr > 0
         for images, one_hot in self._epoch_batches():
-            self._cascade_step(images, one_hot, update_scores)
+            self._cascade_step(images, one_hot, route)
+        self.state.epoch += 1
 
-    def _cascade_step(self, images, one_hot, update_scores: bool) -> None:
-        """One step of every slot. Its forwards are locals of this call,
-        so nothing of them outlives the step, and the frozen teacher's
-        no-grad forward runs before the graph is built."""
-        h, cfg = self.h, self.cfg
-        hint_ids = self._hint_ids()
-        slots = len(h.slots)
-        route = update_scores and cfg.score_lr > 0
-        frozen_fwd = None
-        if self._needs_teacher():
-            frozen_fwd = h.forward_frozen(images, hint_ids=hint_ids)
+    def _cascade_step(self, images, one_hot, route: bool) -> None:
+        """The forwards of one step of every slot, each taught by the next one
+        up and the top by the frozen teacher, whose no-tape forward runs first."""
+        h, hint_ids = self.h, self.cfg.distill.hint_layers
+        frozen = h.forward_frozen(images, hint_ids=hint_ids) \
+            if self._needs_teacher() else None
+        slots = range(len(h.slots))
         # routing reads the contexts of slots 1 and up; a slot that saves
         # none runs at its kept width
         forwards = h.forward_all(images, mode="train", hint_ids=hint_ids,
-                                 want_context=range(1, slots) if route else False)
-        total = None
-        slot_records = []
-        for i in range(slots):
-            teacher = forwards[i + 1] if i + 1 < slots else frozen_fwd
-            t_logits = teacher.logits if teacher is not None else None
-            t_maps = self._maps(teacher) if teacher is not None else \
-                self._maps(forwards[i])
-            loss, parts = slot_loss(forwards[i].logits, one_hot, t_logits,
-                                    self._maps(forwards[i]), t_maps,
-                                    cfg.distill)
-            total = loss if total is None else ad.add(total, loss)
-            acc = self._batch_accuracy(forwards[i].logits.data, one_hot)
-            slot_records.append((float(loss.data), parts, acc))
-        ad.backward(total)
-        lr = lr_at(self.schedule, self.state.step)
-        self.weight_opt.step(lr)
-        self.weight_opt.zero_grad()
-        if route:
-            grads = h.route_gamma_gradients(forwards)
-            self.score_opt.step(
-                {i: h.slots[i].scores for i in grads}, grads, cfg.score_lr)
-            h.refresh_masks()
-        for i, (loss_v, parts, acc) in enumerate(slot_records):
-            self._emit(i, loss_v, parts, acc, lr)
-        self.state.step += 1
+                                 want_context=slots[1:] if route else False)
+        self._step(one_hot, zip(slots, forwards, forwards[1:] + [frozen]),
+                   self.cfg.distill, routed=forwards if route else None)
 
     # -- student fine-tuning -------------------------------------------------
-
-    def _teacher_logits_and_maps(self, images, hint_ids):
-        t = self.state.teacher_index
-        if t >= len(self.h.slots):
-            fwd = self.h.forward_frozen(images, hint_ids=hint_ids)
-        else:
-            with ad.no_grad():
-                fwd = self.h.forward_slot(t, images, mode="eval",
-                                          hint_ids=hint_ids)
-        return fwd.logits, self._maps(fwd)
 
     def finetune_epoch(self) -> None:
         """Train the student alone against its current teacher; the
         masks and scores stay fixed, and only student-reachable
         parameters (shared kernels, slot-0 stem/BN/heads) move."""
         self._enter_stage("student_finetune")
-        h = self.h
-        if self.state.teacher_index >= len(h.slots) and h.frozen is None:
-            raise TrainingError("teacher index points at the frozen model "
-                                "but none exists")
-        names = {p.name for p in h.shared_parameters()} \
-            | {p.name for p in h.slot_parameters(0)}
+        teacher, teacher_accuracy = self._teacher()
+        moving = self._moving(0)
         for images, one_hot in self._epoch_batches():
-            self._finetune_step(images, one_hot, names)
+            self._finetune_step(images, one_hot, teacher, moving)
         self.state.epoch += 1
         if self.val_data is not None:
-            self._promote_if_due()
+            student_acc = evaluate(self.h, 0, self.val_data, augment=self.eval_augment)
+            apply_promotion(self.state, student_acc, teacher_accuracy(self.val_data),
+                            self.cfg.promotion_patience, len(self.h.slots))
 
-    def _finetune_step(self, images, one_hot, names: set) -> None:
-        """One student step; the teacher's no-grad forward runs before
-        the student's graph is built."""
-        hint_ids = self._hint_ids()
-        t_logits = t_maps = None
-        if self._needs_teacher():
-            t_logits, t_maps = self._teacher_logits_and_maps(images, hint_ids)
+    def _finetune_step(self, images, one_hot, teacher, moving: set) -> None:
+        """The forwards of one student step; the teacher's no-tape forward
+        runs before the student's graph is built."""
+        hint_ids = self.cfg.distill.hint_layers
+        with ad.no_grad():
+            t_fwd = teacher(images, hint_ids=hint_ids) if self._needs_teacher() else None
         fwd = self.h.forward_slot(0, images, mode="train", hint_ids=hint_ids)
-        if t_maps is None:
-            t_maps = self._maps(fwd)
-        loss, parts = slot_loss(fwd.logits, one_hot, t_logits,
-                                self._maps(fwd), t_maps, self.cfg.distill)
-        ad.backward(loss)
-        lr = lr_at(self.schedule, self.state.step)
-        self.weight_opt.step(lr, include=names)
-        self.weight_opt.zero_grad()
-        self._emit(0, float(loss.data), parts,
-                   self._batch_accuracy(fwd.logits.data, one_hot), lr)
-        self.state.step += 1
-
-    def _promote_if_due(self) -> None:
-        student_acc = evaluate(self.h, 0, self.val_data,
-                               augment=self.eval_augment)
-        t = self.state.teacher_index
-        if t >= len(self.h.slots):
-            teacher_acc = evaluate_frozen(self.h, self.val_data,
-                                          augment=self.eval_augment)
-        else:
-            teacher_acc = evaluate(self.h, t, self.val_data,
-                                   augment=self.eval_augment)
-        apply_promotion(self.state, student_acc, teacher_acc,
-                        self.cfg.promotion_patience, len(self.h.slots))
+        self._step(one_hot, [(0, fwd, t_fwd)], self.cfg.distill, moving)
 
     # -- persistence ---------------------------------------------------------
 
@@ -428,9 +399,6 @@ class Trainer:
         meta = {"kind": "cascade-train", "arch": self.h.arch.name,
                 "keep_ratios": self.h.keep_ratios, "state": asdict(self.state)}
         save_checkpoint(path, tensors, meta)
-
-    def load(self, path: str) -> None:
-        self.load_state(*read_training_checkpoint(path))
 
     def load_state(self, tensors: dict[str, np.ndarray], meta: dict) -> None:
         """Resume from a checkpoint's tensors and meta as read_training_checkpoint

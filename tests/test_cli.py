@@ -201,6 +201,24 @@ class TestTrain:
         assert rc == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "abc"), ("keep_ratio", "0.5"), ("finetune_epochs", 1.5),
+        ("seed", "7"), ("crop", "yes")])
+    def test_a_mistyped_config_value_is_a_validation_error(
+            self, tmp_path, tiny_arch, capsys, key, value):
+        """A --config value of the wrong type exits 1 naming the file and
+        the key, neither failing later nor taken for another value."""
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"keep_ratio": 0.5, "joint_epochs": 0, "finetune_epochs": 0,
+             key: value}))
+        # the data flags only: --seed and --batch-size would override the key
+        rc = main(["train", "--config", str(cfg_path), "--arch", tiny_arch,
+                   *SYNTH_FLAGS[:10], "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert str(cfg_path) in err and repr(key) in err
+
     def test_same_seed_byte_identical(self, tmp_path, tiny_arch):
         argv = ["train", "--arch", tiny_arch, *SYNTH_FLAGS,
                 "--keep-ratio", "0.5", "--ta-divisors", "2.0",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cascadeprune.autodiff as ad
+import cascadeprune.training as training
 from cascadeprune.arch import parse_arch
 from cascadeprune.checkpoint import load_checkpoint, save_checkpoint
 from cascadeprune.data import Dataset, batches, synthetic_dataset
@@ -31,6 +32,7 @@ from cascadeprune.training import (
     apply_promotion,
     evaluate,
     evaluate_frozen,
+    read_training_checkpoint,
 )
 
 TOY = """
@@ -405,6 +407,25 @@ class TestFinetune:
         assert len(trainer.state.val_history["student"]) == 1
         assert len(trainer.state.val_history["teacher"]) == 1
 
+    def test_promotion_at_the_frozen_teacher_scores_the_frozen_teacher(
+            self, monkeypatch):
+        """At teacher index len(slots), the epoch's teacher accuracy is
+        evaluate_frozen's on the validation split."""
+        val = toy_data(seed=9, n=12)
+        h, trainer = self._trained(val=val)
+        trainer.state.teacher_index = len(h.slots)
+        scored = []
+
+        def spy(*a, **kw):
+            scored.append(evaluate_frozen(*a, **kw))
+            return scored[-1]
+
+        monkeypatch.setattr(training, "evaluate_frozen", spy)
+        trainer.finetune_epoch()
+        assert trainer.state.val_history["teacher"] == scored \
+            == [evaluate_frozen(h, val)]
+        assert trainer.state.teacher_index == len(h.slots)
+
     def test_rows_are_student_only(self):
         h, trainer = self._trained()
         trainer.finetune_epoch()
@@ -435,6 +456,25 @@ class TestPretrain:
         # the frozen copy equals the just-trained top slot
         assert np.array_equal(after["frozen.stem.w"], after["slot1.stem.w"])
 
+    def test_pretrain_is_plain_cross_entropy_whatever_the_distillation(self):
+        """Pretraining has no teacher: under complement_ce, a kd weight and
+        hint layers its rows carry no distillation term, and it trains
+        the same tensors as under the default distillation config."""
+        runs = []
+        for distill in (DistillConfig(), DistillConfig(
+                lambda_kd=0.4, lambda_hint=0.5, complement_ce=True,
+                hint_layers=tuple(sorted(toy_hierarchy().arch.maskable_sizes)))):
+            h = toy_hierarchy(seed=3)
+            trainer = Trainer(h, toy_data(n=16), quiet_config(distill=distill))
+            trainer.pretrain_top(1)
+            runs.append((h.named_tensors(), trainer.metrics.rows))
+        (plain, _), (distilled, rows) = runs
+        assert rows and all(r["kd_loss"] == r["hint_loss"] == 0.0
+                            and r["loss"] == r["task_loss"] for r in rows)
+        assert plain.keys() == distilled.keys()
+        for k in plain:
+            assert np.array_equal(plain[k], distilled[k]), k
+
     def test_joint_without_teacher_rejected_when_distilling(self):
         h = toy_hierarchy()
         trainer = Trainer(h, toy_data(n=8), quiet_config())
@@ -457,7 +497,7 @@ class TestPersistence:
         a.save(path)
 
         b = self._fresh()
-        b.load(path)
+        b.load_state(*read_training_checkpoint(path))
         at, bt = a.h.named_tensors(), b.h.named_tensors()
         assert set(at) == set(bt)
         for k in at:
@@ -480,7 +520,7 @@ class TestPersistence:
         part.save(path)
 
         resumed = self._fresh()
-        resumed.load(path)
+        resumed.load_state(*read_training_checkpoint(path))
         for _ in range(2):
             resumed.joint_epoch()
 
@@ -521,7 +561,7 @@ class TestPersistence:
         assert len(killed.splitlines()) > 1 + saved_rows  # header, rows
 
         resumed = self._fresh(out_dir=str(run_dir))
-        resumed.load(path)
+        resumed.load_state(*read_training_checkpoint(path))
         resumed.joint_epoch()
         resumed.close()
         want = (tmp_path / "whole" / "metrics.csv").read_bytes()
@@ -578,7 +618,7 @@ class TestPersistence:
         assert by_place.read_bytes() == saved.read_bytes()
 
         resumed = self._fresh()
-        resumed.load(str(by_place))
+        resumed.load_state(*read_training_checkpoint(str(by_place)))
         full.joint_epoch()
         resumed.joint_epoch()
         want, got = full.h.named_tensors(), resumed.h.named_tensors()
@@ -693,10 +733,10 @@ class TestPersistence:
         assert all(not v.any() for v in sq.values())
         b = Trainer(toy_hierarchy(seed=9), toy_data(seed=6, n=16),
                     quiet_config(score_optimizer="rmsprop"))
-        b.load(path)
+        b.load_state(*read_training_checkpoint(path))
         self._assert_holds(b, self._everything(a))
         with pytest.raises(HierarchyError, match="scoreopt.slot0.layer0.sq"):
-            self._fresh().load(path)
+            self._fresh().load_state(*read_training_checkpoint(path))
 
     def test_wrong_ratios_rejected(self, tmp_path):
         a = self._fresh()
@@ -705,14 +745,14 @@ class TestPersistence:
         other = Trainer(toy_hierarchy(ratios=(0.75, 1.0)), toy_data(n=16),
                         quiet_config())
         with pytest.raises(TrainingError, match="keep ratios"):
-            other.load(path)
+            other.load_state(*read_training_checkpoint(path))
 
     def test_non_training_checkpoint_rejected(self, tmp_path):
         from cascadeprune.checkpoint import save_checkpoint
         path = str(tmp_path / "raw.ckpt")
         save_checkpoint(path, {}, {"kind": "other"})
         with pytest.raises(TrainingError, match="not a training checkpoint"):
-            self._fresh().load(path)
+            self._fresh().load_state(*read_training_checkpoint(path))
 
     def test_csv_file_matches_rows(self, tmp_path):
         out = str(tmp_path / "run")

@@ -11,15 +11,20 @@ script's output on each tree:
 Each net gets a hierarchy with the benchmark's keep ratios (student 0.5,
 assistants from divisors 1.5 and 2.5) and a frozen teacher, on synthetic
 data at a fixed seed. The toys pretrain the top slot for one epoch;
-then every net runs one joint epoch and one fine-tune epoch (two steps
-each). Every net steps its scores by SGD but toy_residual_rmsprop,
-which is toy_residual under RMSProp score steps. The digests cover:
+then every net runs one joint epoch, one intermediate epoch (masks
+pinned) and two fine-tune epochs, the first against slot 1 and the
+second against the frozen teacher (two steps each). Each fine-tune
+epoch ends in a teacher promotion check on held-out data. Every net
+steps its scores by SGD but toy_residual_rmsprop, which is toy_residual
+under RMSProp score steps. The digests cover:
 
 - every gradient that reaches the optimizer, at every step;
 - every routed score gradient of every joint step;
 - every named tensor (weights, batch-norm state, masks, scores) after
   each epoch, and the bytes of the checkpoint Trainer.save writes
-  then, which adds the file layout and the optimizers' state;
+  then, which adds the file layout, the optimizers' state and the
+  train state with its validation history;
+- every metrics row, as the line the run's metrics.csv holds;
 - each slot's eval logits and hint maps on a memo miss and a memo hit,
   a pass on the tape, and the frozen teacher's logits.
 
@@ -237,18 +242,29 @@ def run_net(emit: Printer, net: str, dtype: str, seed: int) -> None:
                       distill=DistillConfig(tau=4.0, lambda_kd=0.4,
                                             lambda_hint=0.001,
                                             hint_layers=hint_ids))
-    trainer = Trainer(h, data, cfg)
-    if pretrain:
-        trainer.pretrain_top(pretrain)
-        saved(emit, trainer, "pretrain")
-    else:
-        h.freeze_teacher()
-    trainer.joint_epoch()
-    saved(emit, trainer, "joint")
-    trainer.finetune_epoch()
-    saved(emit, trainer, "finetune")
-    x = synthetic_dataset(seed + 1, max(batch, arch.classes), arch.classes,
-                          arch.in_h, arch.in_c, split="test").images[:batch]
+    test = synthetic_dataset(seed + 1, max(batch, arch.classes), arch.classes,
+                             arch.in_h, arch.in_c, split="test")
+    with tempfile.TemporaryDirectory() as out_dir:
+        trainer = Trainer(h, data, cfg, val_data=test, out_dir=out_dir)
+        if pretrain:
+            trainer.pretrain_top(pretrain)
+            saved(emit, trainer, "pretrain")
+        else:
+            h.freeze_teacher()
+        trainer.joint_epoch()
+        saved(emit, trainer, "joint")
+        trainer.intermediate_epoch()
+        saved(emit, trainer, "intermediate")
+        trainer.finetune_epoch()
+        saved(emit, trainer, "finetune")
+        trainer.state.teacher_index = len(h.slots)
+        trainer.finetune_epoch()
+        saved(emit, trainer, "finetune_frozen")
+        trainer.close()
+        with open(os.path.join(out_dir, "metrics.csv")) as fh:
+            for n, line in enumerate(fh):
+                emit(f"row{n}", np.frombuffer(line.encode(), np.uint8))
+    x = test.images[:batch]
     eval_logits(emit, h, x.astype(ad.DTYPES[dtype]), hint_ids)
 
 
