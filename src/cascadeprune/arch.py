@@ -221,7 +221,7 @@ def _kv(kind: str, tokens: list[str], where: str) -> dict[str, str]:
     return out
 
 
-def _take_int(kv: dict, key: str, where: str, default=None, minimum=1) -> int:
+def _take_int(kv: dict, key: str, where: str, default=None) -> int:
     if key not in kv:
         if default is not None:
             return default
@@ -230,8 +230,8 @@ def _take_int(kv: dict, key: str, where: str, default=None, minimum=1) -> int:
         v = int(kv.pop(key))
     except ValueError:
         raise ArchError(f"{where}: {key} must be an integer") from None
-    if v < minimum:
-        raise ArchError(f"{where}: {key} must be >= {minimum}, got {v}")
+    if v < 1:
+        raise ArchError(f"{where}: {key} must be >= 1, got {v}")
     return v
 
 

@@ -1004,12 +1004,11 @@ def _put(a: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
-               momentum: float = 0.9, epsilon: float = 1e-5,
                index: Optional[np.ndarray] = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes by batch statistics and moves the running stats
-    by an exponential average (running = momentum*running + (1-m)*batch);
+    by an exponential average (running = m*running + (1-m)*batch, m = 0.9);
     eval mode normalizes by the running stats. Affine transform applied in
     both modes.
 
@@ -1043,6 +1042,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     _check_same_dtype(x, gamma, beta)
     shape = x.shape
     m = shape[0] * shape[2] * shape[3]
+    momentum, epsilon = 0.9, 1e-5
 
     if mode == "train":
         mu = _channel_sum(x.data) / m

@@ -15,11 +15,16 @@ Layout (all integers little-endian):
 Tensors are written in sorted name order and JSON keys are sorted, so
 identical state always produces byte-identical files. Writes go to a
 temp file in the same directory and are renamed into place.
+
+Each tensor is streamed to and from its own array: a save writes its
+bytes from the array itself and a load reads them into a fresh writable
+array, so neither holds the file or a second copy of a tensor.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -39,32 +44,24 @@ class CheckpointError(Exception):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
 
 
-def _tag_for(name: str, arr: np.ndarray) -> int:
-    if arr.dtype not in _TAG_OF_DTYPE:
-        raise CheckpointError(f"tensor {name!r} has unsupported dtype "
-                              f"{arr.dtype}")
-    return _TAG_OF_DTYPE[arr.dtype]
-
-
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
                     metadata: dict) -> None:
-    chunks = [MAGIC, struct.pack("<I", VERSION),
-              struct.pack("<I", len(tensors))]
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name])  # tobytes() below emits C order
-        tag = _tag_for(name, arr)
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", tag, arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    blob = json.dumps(metadata, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    chunks.append(struct.pack("<I", len(blob)))
-    chunks.append(blob)
+    blob = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    write_atomically(path, lambda fh: fh.write(b"".join(chunks)))
+    def write(fh) -> None:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name])
+            if arr.dtype not in _TAG_OF_DTYPE:
+                raise CheckpointError(f"tensor {name!r} has unsupported dtype "
+                                      f"{arr.dtype}")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                                 _TAG_OF_DTYPE[arr.dtype], arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr))  # a copy only if not C order
+        fh.write(struct.pack("<I", len(blob)) + blob)
+
+    write_atomically(path, write)
 
 
 def copy_checkpoint(src: str, dst: str) -> None:
@@ -89,51 +86,46 @@ def write_atomically(path: str, write) -> None:
         raise
 
 
-class _Reader:
-    def __init__(self, raw: bytes, path: str):
-        self.raw = raw
-        self.pos = 0
-        self.name = os.path.basename(path)
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.raw):
-            raise CheckpointError(
-                f"{self.name}: truncated while reading {what} at byte "
-                f"{self.pos} (need {count}, have {len(self.raw) - self.pos})")
-        out = self.raw[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    label = os.path.basename(path)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    r = _Reader(raw, path)
-    if r.take(len(MAGIC), "magic") != MAGIC:
-        raise CheckpointError(f"{r.name}: not a checkpoint file (bad magic)")
-    version = r.u32("version")
-    if version != VERSION:
-        raise CheckpointError(f"{r.name}: format version {version}, this "
-                              f"build reads version {VERSION}")
-    tensors: dict[str, np.ndarray] = {}
-    count = r.u32("tensor count")
-    for i in range(count):
-        name_len = r.u32(f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
-        tag, rank = struct.unpack("<BB", r.take(2, f"{name}: header"))
-        if tag not in _DTYPE_OF_TAG:
-            raise CheckpointError(f"{r.name}: {name}: unknown dtype tag {tag}")
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"{name}: extents"))
-        dt = _DTYPE_OF_TAG[tag]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        values = r.take(nbytes, f"{name}: values")
-        tensors[name] = np.frombuffer(values, dtype=dt).reshape(shape).copy()
-    blob_len = r.u32("metadata length")
-    metadata = json.loads(r.take(blob_len, "metadata").decode("utf-8"))
-    if r.pos != len(raw):
-        raise CheckpointError(f"{r.name}: {len(raw) - r.pos} trailing bytes "
-                              f"after metadata")
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(count: int, what: str, alloc=bytearray):
+            """The next count bytes, read into alloc(count); a count past the
+            end of the file, checked first, or a short read is truncation."""
+            pos = fh.tell()
+            have = size - pos
+            if count <= have:
+                out = alloc(count)
+                have = fh.readinto(out)
+                if have == count:
+                    return out
+            raise CheckpointError(
+                f"{label}: truncated while reading {what} at byte {pos} "
+                f"(need {count}, have {have})")
+
+        def u32(what: str) -> int:
+            return struct.unpack("<I", take(4, what))[0]
+
+        if take(len(MAGIC), "magic") != MAGIC:
+            raise CheckpointError(f"{label}: not a checkpoint file (bad magic)")
+        version = u32("version")
+        if version != VERSION:
+            raise CheckpointError(f"{label}: format version {version}, this "
+                                  f"build reads version {VERSION}")
+        tensors: dict[str, np.ndarray] = {}
+        for i in range(u32("tensor count")):
+            name = take(u32(f"entry {i} name length"), f"entry {i} name").decode("utf-8")
+            tag, rank = struct.unpack("<BB", take(2, f"{name}: header"))
+            if tag not in _DTYPE_OF_TAG:
+                raise CheckpointError(f"{label}: {name}: unknown dtype tag {tag}")
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, f"{name}: extents"))
+            dt = _DTYPE_OF_TAG[tag]
+            tensors[name] = take(math.prod(shape) * dt.itemsize, f"{name}: values",
+                                 lambda _: np.empty(shape, dt))
+        metadata = json.loads(take(u32("metadata length"), "metadata").decode("utf-8"))
+        if fh.tell() != size:
+            raise CheckpointError(f"{label}: {size - fh.tell()} trailing bytes "
+                                  f"after metadata")
     return tensors, metadata

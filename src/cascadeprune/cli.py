@@ -95,17 +95,17 @@ CONFIG_KEYS = {
     "center_crop": (bool, False, "center instead of random crop offsets"),
     "normalize": (bool, False, "per-channel train-split normalization"),
     "synthetic_samples": (int, 5000, "synthetic train-split size"),
-    "synthetic_classes": (int, 10, "synthetic class count"),
-    "synthetic_size": (int, 16, "synthetic image height and width"),
-    "synthetic_channels": (int, 3, "synthetic channel count"),
+    "synthetic_classes": (int, None, "synthetic class count; unset, the arch's"),
+    "synthetic_size": (int, None, "synthetic image size; unset, the arch's"),
+    "synthetic_channels": (int, None, "synthetic channel count; unset, the arch's"),
 }
 
 DEFAULTS = {k: v[1] for k, v in CONFIG_KEYS.items()}
 
 
-def _add_config_flags(p: argparse.ArgumentParser, keys=None) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML file with config keys")
-    for key in keys or CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         typ, default, text = CONFIG_KEYS[key]
         flag = "--" + key.replace("_", "-")
         if typ is bool:
@@ -194,24 +194,33 @@ def resolve_arch(name_or_path: str) -> ArchSpec:
                    f"{', '.join(SHIPPED_ARCHS)}")
 
 
-def resolve_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
+def resolve_datasets(cfg: dict, arch: ArchSpec) -> tuple[Dataset, Dataset]:
+    """The train and test splits, whose channel and class counts must be
+    arch's. An unset synthetic class count, image size or channel count
+    is arch's, set in cfg too, so that config.yaml records it."""
     kind = cfg["dataset"]
     if kind == "synthetic":
-        n = cfg["synthetic_samples"]
-        train = synthetic_dataset(cfg["seed"], n, cfg["synthetic_classes"],
-                                  cfg["synthetic_size"],
-                                  cfg["synthetic_channels"], split="train")
-        test = synthetic_dataset(cfg["seed"] + 1000,
-                                 max(n // 5, cfg["synthetic_classes"]),
-                                 cfg["synthetic_classes"],
-                                 cfg["synthetic_size"],
-                                 cfg["synthetic_channels"], split="test")
-        return train, test
-    root = cfg["data_root"] or os.environ.get(DATA_ROOT_ENV)
-    if not root:
-        raise CLIError(f"dataset {kind!r} needs --data-root or "
-                       f"${DATA_ROOT_ENV}")
-    return load_cifar10(root) if kind == "cifar10" else load_mnist_idx(root)
+        cfg.update({key: value for key, value in (
+            ("synthetic_classes", arch.classes), ("synthetic_size", arch.in_h),
+            ("synthetic_channels", arch.in_c)) if cfg[key] is None})
+        n, classes = cfg["synthetic_samples"], cfg["synthetic_classes"]
+        shape = cfg["synthetic_size"], cfg["synthetic_channels"]
+        train = synthetic_dataset(cfg["seed"], n, classes, *shape, split="train")
+        test = synthetic_dataset(cfg["seed"] + 1000, max(n // 5, classes),
+                                 classes, *shape, split="test")
+    else:
+        root = cfg["data_root"] or os.environ.get(DATA_ROOT_ENV)
+        if not root:
+            raise CLIError(f"dataset {kind!r} needs --data-root or "
+                           f"${DATA_ROOT_ENV}")
+        train, test = load_cifar10(root) if kind == "cifar10" \
+            else load_mnist_idx(root)
+    for what, have, want in (("channels", train.images.shape[1], arch.in_c),
+                             ("classes", train.class_count, arch.classes)):
+        if have != want:
+            raise CLIError(f"the {kind} data has {have} {what}, arch "
+                           f"{arch.name!r} takes {want}")
+    return train, test
 
 
 def build_augment(cfg: dict, arch: ArchSpec,
@@ -264,21 +273,19 @@ def fmt_flops(n: int) -> str:
     return f"{n:,}"
 
 
-def _print_stats(report, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    print(f"{'layer':<24}{'output':<18}{'params':>12}{'flops':>16}", file=out)
+def _print_stats(report) -> None:
+    print(f"{'layer':<24}{'output':<18}{'params':>12}{'flops':>16}")
     for row in report.layers:
         shape = "x".join(str(d) for d in row.out_shape)
-        print(f"{row.label:<24}{shape:<18}{row.params:>12}{row.flops:>16}",
-              file=out)
+        print(f"{row.label:<24}{shape:<18}{row.params:>12}{row.flops:>16}")
     groups = report.by_group()
     if len(groups) < len(report.layers):
-        print("per-group subtotals:", file=out)
+        print("per-group subtotals:")
         for group, flops, params in groups:
-            print(f"{group:<24}{'':<18}{params:>12}{flops:>16}", file=out)
+            print(f"{group:<24}{'':<18}{params:>12}{flops:>16}")
     print(f"total: {fmt_flops(report.total_flops)} FLOPs, "
           f"{fmt_params(report.total_params)} params "
-          f"({report.total_flops:,} / {report.total_params:,})", file=out)
+          f"({report.total_flops:,} / {report.total_params:,})")
 
 
 def _write_stats_csv(report, path: str) -> None:
@@ -321,7 +328,7 @@ def _run_stages(cfg: dict, hierarchy, stages, checkpoint: str | None) -> int:
     tensors, meta = read_training_checkpoint(checkpoint) if checkpoint \
         else (None, None)
     h = hierarchy(meta)
-    train, test = resolve_datasets(cfg)
+    train, test = resolve_datasets(cfg, h.arch)
     trainer = Trainer(h, train, build_train_config(cfg, build_augment(cfg, h.arch, train)),
                       val_data=test, out_dir=cfg["out"])
     write_resolved_config(cfg, cfg["out"])
@@ -386,7 +393,7 @@ def cmd_eval(args) -> int:
     tensors, meta = read_training_checkpoint(args.checkpoint)
     h = _checkpoint_hierarchy(cfg, given, meta)
     load_tensors(h, tensors)
-    train, test = resolve_datasets(cfg)
+    train, test = resolve_datasets(cfg, h.arch)
     augment = None
     if cfg["normalize"]:
         augment = AugmentConfig(normalization=channel_stats(train))

@@ -4,7 +4,7 @@ One set of conv kernels serves every model in the cascade. Each model
 (slot) differs only in its keep ratio, binary filter mask, importance
 scores, batch-norm state, stem conv, and dense head. Slot 0 is the
 smallest (the student); the last slot runs unmasked at ratio 1.0; a
-frozen copy of the unmasked model acts as the last slot's teacher.
+frozen snapshot of the unmasked model acts as the last slot's teacher.
 
 Score gradients are routed one step down the cascade: slot i's scores
 are updated from slot i+1's saved forward context, never from slot i's
@@ -93,7 +93,9 @@ class SlotState:
     train-mode pass of any slot drops the memo of every slot in the
     hierarchy: the step it belongs to replaces the shared kernels, so
     those memos could not hit again, and dropped they do not hold memory
-    through that step's backward. The frozen teacher's memo stays."""
+    through that step's backward. The frozen teacher's memo stays. The
+    same contract lets the frozen teacher share the arrays it freezes, and
+    a load install a checkpoint's own arrays."""
     stem: Parameter
     dense: list[Parameter]
     bns: list[BatchNormState]
@@ -223,13 +225,13 @@ class ModelHierarchy:
         return self.slots[-1]
 
     def freeze_teacher(self) -> None:
-        """Capture the current top slot as the permanent frozen teacher:
-        private copies of the shared kernels and of the top slot's stem,
-        heads, and BN state, none of them trainable, each named
-        frozen.* like the parameter it copies."""
+        """Capture the current top slot as the permanent frozen teacher: the
+        shared kernels and the top slot's stem, heads and BN state, none of
+        them trainable, each named frozen.* like what it freezes. It shares
+        their arrays, copying none: under SlotState's contract they are
+        replaced, never edited, so the frozen values never move."""
         def frozen(name: str, p: Parameter) -> Parameter:
-            return Parameter(name, p.data.copy(), dtype=self.dtype,
-                             trainable=False)
+            return Parameter(name, p.data, dtype=self.dtype, trainable=False)
 
         top = self.top.state
         bns = [copy.copy(bn) for bn in top.bns]
@@ -237,8 +239,6 @@ class ModelHierarchy:
             bn.name = f"frozen.bn{j}"
             bn.gamma = frozen(f"{bn.name}.gamma", bn.gamma)
             bn.beta = frozen(f"{bn.name}.beta", bn.beta)
-            bn.running_mean = bn.running_mean.copy()
-            bn.running_var = bn.running_var.copy()
         state = SlotState(
             stem=frozen("frozen.stem.w", top.stem),
             dense=[frozen(f"frozen.dense{j}.w", p)
@@ -448,8 +448,8 @@ class ModelHierarchy:
         for p in params:
             p.assign(table[p.name])
         for bn in bns:
-            bn.running_mean = table[f"{bn.name}.rmean"].copy()
-            bn.running_var = table[f"{bn.name}.rvar"].copy()
+            bn.running_mean = table[f"{bn.name}.rmean"]
+            bn.running_var = table[f"{bn.name}.rvar"]
         for slot in self.slots:
             slot.state.mask = checkpoint_mask(table, self.arch, slot.index)
             if slot.scores is not None:

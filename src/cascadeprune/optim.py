@@ -87,7 +87,8 @@ class SGDNesterov:
         self.params = list(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buffers = {id(p): np.zeros_like(p.data) for p in self.params}
+        # np.zeros, not zeros_like: a buffer never written costs no memory
+        self.buffers = {id(p): np.zeros(p.shape, p.data.dtype) for p in self.params}
 
     def step(self, lr: float, include: set[str] | None = None) -> None:
         """Apply one update. With include, only named parameters move;
@@ -123,19 +124,17 @@ class ScoreOptimizer:
     """Updates per-layer importance-score vectors from routed gradients.
 
     kind 'sgd' is plain gradient descent (no momentum, no decay: scores
-    are decay-exempt by definition); kind 'rmsprop' normalizes per-score
-    step sizes, which spreads pruning more evenly across layers, from
-    zero running squares for every layer of every slot in scores.
+    are decay-exempt by definition); kind 'rmsprop' (rho 0.9, eps 1e-8)
+    normalizes per-score step sizes, which spreads pruning more evenly
+    across layers, from zero running squares for every layer of every
+    slot in scores.
     """
 
-    def __init__(self, scores: dict[int, "ImportanceScores"],
-                 kind: str = "sgd", rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, scores: dict[int, "ImportanceScores"], kind: str = "sgd"):
         if kind not in ("sgd", "rmsprop"):
             raise ValueError(f"score optimizer kind must be sgd or rmsprop, "
                              f"got {kind!r}")
         self.kind = kind
-        self.rho = rho
-        self.eps = eps
         self.sq: dict[tuple[int, int], np.ndarray] = {} if kind == "sgd" else {
             (s, lid): np.zeros_like(v)
             for s, sc in scores.items() for lid, v in sc.layers.items()}
@@ -151,7 +150,7 @@ class ScoreOptimizer:
                 else:
                     layers[lid] = rmsprop_update(v, g.astype(v.dtype),
                                                  self.sq[(slot_idx, lid)], lr,
-                                                 self.rho, self.eps)
+                                                 0.9, 1e-8)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Checkpoint name -> running square, live: a load writes into it."""

@@ -91,12 +91,11 @@ def apply_promotion(state: TrainState, student_acc: float, teacher_acc: float,
     return False
 
 
-def _accuracy(forward, ds: Dataset, batch_size: int,
-              augment: AugmentConfig | None) -> float:
+def _accuracy(forward, ds: Dataset, augment: AugmentConfig | None) -> float:
     """Deterministic top-1 accuracy over a split of the SlotForward that
-    forward(images) returns, run with the tape off."""
+    forward(images) returns, run with the tape off, 256 images at a time."""
     correct = 0
-    for images, one_hot in batches(ds, batch_size, seed=0, epoch=0,
+    for images, one_hot in batches(ds, 256, seed=0, epoch=0,
                                    augment=augment, shuffle=False):
         with ad.no_grad():
             logits = forward(images).logits.data
@@ -106,18 +105,16 @@ def _accuracy(forward, ds: Dataset, batch_size: int,
 
 
 def evaluate(h: ModelHierarchy, slot_index: int, ds: Dataset,
-             batch_size: int = 256,
              augment: AugmentConfig | None = None) -> float:
     """Deterministic top-1 accuracy of one slot over a split."""
     return _accuracy(lambda images: h.forward_slot(slot_index, images,
-                                                   mode="eval"),
-                     ds, batch_size, augment)
+                                                   mode="eval"), ds, augment)
 
 
-def evaluate_frozen(h: ModelHierarchy, ds: Dataset, batch_size: int = 256,
+def evaluate_frozen(h: ModelHierarchy, ds: Dataset,
                     augment: AugmentConfig | None = None) -> float:
     """Deterministic top-1 accuracy of the frozen teacher over a split."""
-    return _accuracy(h.forward_frozen, ds, batch_size, augment)
+    return _accuracy(h.forward_frozen, ds, augment)
 
 
 def read_training_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -140,10 +137,13 @@ def read_training_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
 def load_tensors(h: ModelHierarchy, tensors: dict[str, np.ndarray],
                  weight_opt: SGDNesterov | None = None,
                  score_opt: ScoreOptimizer | None = None) -> None:
-    """Load a training checkpoint's tensors into h and the optimizers (by
-    default a Trainer's over h, rmsprop if the table has score state) once
-    all are checked: HierarchyError names the first wrong tensor."""
-    if weight_opt is None:
+    """Load a training checkpoint's tensors into h and the optimizers once
+    all are checked: HierarchyError names the first wrong tensor. Without
+    optimizers the optimizer part is only checked, against a Trainer's
+    over h (rmsprop if the table has score state), whose zeroed buffers
+    are never written."""
+    fill = weight_opt is not None
+    if not fill:
         kind = "rmsprop" if any(k.startswith("scoreopt.") for k in tensors) else "sgd"
         weight_opt = SGDNesterov(h.all_parameters())
         score_opt = ScoreOptimizer({s.index: s.scores for s in h.slots[:-1]}, kind)
@@ -152,8 +152,9 @@ def load_tensors(h: ModelHierarchy, tensors: dict[str, np.ndarray],
     check_tensors({k: v for k, v in tensors.items() if k in opt_state},
                   {k: v.shape for k, v in opt_state.items()})
     h.load_named_tensors({k: v for k, v in tensors.items() if k not in opt_state})
-    for name, v in opt_state.items():
-        v[...] = tensors[name]
+    if fill:
+        for name, v in opt_state.items():
+            v[...] = tensors[name]
 
 
 class MetricsWriter:

@@ -1,6 +1,9 @@
 """Checkpoint format tests: round trips, determinism, corruption handling."""
 
+import contextlib
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +78,66 @@ class TestRoundTrip:
         got, _ = load_checkpoint(path)
         got["x"][0] = 99.0
         assert got["x"][0] == 99.0
+
+
+MiB = 1 << 20
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """A list that holds, once the block exits, the peak of the memory
+    traced in it."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """A save writes each tensor from its own array and a load reads each
+    into its own: neither holds the file or a second copy of a tensor."""
+
+    @staticmethod
+    def saved(tmp_path):
+        rng = np.random.default_rng(1)
+        tensors = {f"t{i}": rng.random(MiB // 4).astype(np.float32)
+                   for i in range(8)}
+        path = str(tmp_path / "big.ckpt")
+        with traced_peak() as peak:
+            save_checkpoint(path, tensors, {"n": 8})
+        return tensors, path, peak[0]
+
+    def test_save_holds_no_copy_of_the_table(self, tmp_path):
+        _, path, peak = self.saved(tmp_path)
+        assert os.path.getsize(path) > 8 * MiB
+        assert peak < 3 * MiB
+
+    def test_load_holds_each_tensor_once(self, tmp_path):
+        tensors, path, _ = self.saved(tmp_path)
+        with traced_peak() as peak:
+            got, meta = load_checkpoint(path)
+        assert peak[0] < 1.25 * os.path.getsize(path)
+        assert meta == {"n": 8}
+        for name, arr in tensors.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(1 << 20, 1 << 10), (1 << 31, 1 << 31, 4)])
+    def test_extents_past_the_end_are_truncation_before_any_allocation(
+            self, tmp_path, shape):
+        """A header promising more values than the file holds, 4 GiB or
+        2**66 bytes (whose extents' int64 product wraps to 0), fails as
+        truncated without allocating them."""
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<III", VERSION, 1, 1) + b"x"
+                         + struct.pack(f"<BB{len(shape)}I", 0, len(shape), *shape)
+                         + bytes(64))
+        with traced_peak() as peak, pytest.raises(
+                CheckpointError, match="truncated while reading x: values"):
+            load_checkpoint(str(path))
+        assert peak[0] < MiB
 
 
 class TestHeaderBytes:

@@ -219,6 +219,44 @@ class TestTrain:
         assert rc == 1, err
         assert str(cfg_path) in err and repr(key) in err
 
+    @pytest.mark.parametrize("arch,samples,classes", [
+        ("vgg16_cifar10", 20, 10), ("mobilenetv1_cifar100", 100, 100)],
+        ids=["vgg16", "mobilenet"])
+    def test_synthetic_data_defaults_to_the_arch(self, tmp_path, arch, samples,
+                                                 classes):
+        """With no --synthetic-* flag but the sample count, the images take
+        the arch's size and channels and the labels its classes, and
+        config.yaml records them."""
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", arch, "--dataset", "synthetic",
+                   "--synthetic-samples", str(samples), "--keep-ratios", "0.5 1.0",
+                   "--batch-size", str(samples), "--pretrain-epochs", "1",
+                   "--joint-epochs", "0", "--finetune-epochs", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        cfg = yaml.safe_load(open(out / "config.yaml"))
+        assert (cfg["synthetic_size"], cfg["synthetic_channels"],
+                cfg["synthetic_classes"]) == (32, 3, classes)
+
+    @pytest.mark.parametrize("arch_text,flags,have,want", [
+        (TINY_ARCH.replace("out=3", "out=5"), SYNTH_FLAGS, "3 classes", 5),
+        (TINY_ARCH, [*SYNTH_FLAGS, "--synthetic-channels", "2"], "2 channels", 1),
+    ], ids=["classes", "channels"])
+    def test_data_that_does_not_fit_the_arch_writes_nothing(
+            self, tmp_path, capsys, arch_text, flags, have, want):
+        """A data channel or class count the arch does not take exits 1,
+        naming both numbers, before any file is written."""
+        arch = tmp_path / "tiny.arch"
+        arch.write_text(arch_text)
+        out = tmp_path / "run"
+        rc = main(["train", "--arch", str(arch), *flags, "--keep-ratio", "0.5",
+                   "--joint-epochs", "0", "--finetune-epochs", "0",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"has {have}, arch" in err and f"takes {want}" in err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path, tiny_arch):
         argv = ["train", "--arch", tiny_arch, *SYNTH_FLAGS,
                 "--keep-ratio", "0.5", "--ta-divisors", "2.0",

@@ -827,6 +827,56 @@ class TestMaskRefreshAndPersistence:
         assert np.array_equal(before, after)
         assert np.any(before != 0.0)
 
+    def test_the_frozen_teacher_shares_the_arrays_it_freezes(self):
+        """freeze_teacher copies nothing: each frozen parameter holds the
+        array of the shared kernel or top-slot parameter it freezes, and
+        each frozen BN state the top slot's running statistics."""
+        h = ModelHierarchy(load_arch(TOY_RESIDUAL_ARCH), [0.5, 0.75, 1.0])
+        h.freeze_teacher()
+        weights, state = h.frozen
+        top = h.top.state
+        pairs = [(weights[label], p) for label, p in h.shared.items()]
+        pairs += [(state.stem, top.stem), *zip(state.dense, top.dense)]
+        pairs += [(getattr(f, k), getattr(t, k))
+                  for f, t in zip(state.bns, top.bns) for k in ("gamma", "beta")]
+        assert {f.name for f, _ in pairs} == {
+            k for k in h.named_tensors()
+            if k.startswith("frozen.") and not k.endswith((".rmean", ".rvar"))}
+        for frozen, live in pairs:
+            assert np.shares_memory(frozen.data, live.data), frozen.name
+        assert len(state.bns) == len(top.bns) > 0
+        for f, t in zip(state.bns, top.bns):
+            assert f.running_mean is t.running_mean, f.name
+            assert f.running_var is t.running_var, f.name
+
+    def test_training_never_moves_the_frozen_teacher(self):
+        """Every frozen.* tensor keeps its value at freeze time, bit for bit,
+        through a joint, an intermediate and two fine-tune epochs, the
+        second taught by the frozen teacher itself."""
+        h = ModelHierarchy(parse_arch(DEPTHWISE_TOY, name="dw"),
+                           [0.5, 0.75, 1.0], seed=3)
+        h.freeze_teacher()
+        at_freeze = {k: v.copy() for k, v in h.named_tensors().items()}
+        cfg = TrainConfig(batch_size=8, base_lr=0.05, score_lr=0.5,
+                          distill=DistillConfig(tau=4.0, lambda_kd=0.3,
+                                                lambda_hint=0.001,
+                                                hint_layers=(1,)))
+        trainer = Trainer(h, synthetic_dataset(0, 16, 3, 8, 2), cfg,
+                          val_data=synthetic_dataset(1, 6, 3, 8, 2, split="test"))
+        trainer.joint_epoch()
+        trainer.intermediate_epoch()
+        trainer.finetune_epoch()
+        trainer.state.teacher_index = len(h.slots)
+        trainer.finetune_epoch()
+        after = h.named_tensors()
+        frozen = [k for k in at_freeze if k.startswith("frozen.")]
+        assert len(frozen) == 26
+        for name in frozen:
+            assert after[name].tobytes() == at_freeze[name].tobytes(), name
+        assert not np.array_equal(after["slot2.stem.w"], at_freeze["slot2.stem.w"])
+        assert not np.array_equal(after["slot2.bn0.rmean"],
+                                  at_freeze["slot2.bn0.rmean"])
+
     def test_frozen_teacher_reuses_its_kernels_and_memo(self):
         h = toy_hierarchy(seed=7)
         h.freeze_teacher()

@@ -24,6 +24,10 @@ under RMSProp score steps. The digests cover:
   each epoch, and the bytes of the checkpoint Trainer.save writes
   then, which adds the file layout, the optimizers' state and the
   train state with its validation history;
+- that checkpoint read back as eval reads it (load_tensors into a fresh
+  hierarchy) and as finetune does (Trainer.load_state into a fresh
+  Trainer): every named tensor each load leaves, the finetune load's
+  momentum and score state, and each one's frozen teacher's logits;
 - every metrics row, as the line the run's metrics.csv holds;
 - each slot's eval logits and hint maps on a memo miss and a memo hit,
   a pass on the tape, and the frozen teacher's logits.
@@ -64,7 +68,8 @@ from cascadeprune.data import Dataset, synthetic_dataset  # noqa: E402
 from cascadeprune.distill import DistillConfig  # noqa: E402
 from cascadeprune.hierarchy import ModelHierarchy, derive_ta_keep_ratios  # noqa: E402
 from cascadeprune.optim import SGDNesterov  # noqa: E402
-from cascadeprune.training import TrainConfig, Trainer  # noqa: E402
+from cascadeprune.training import (TrainConfig, Trainer, load_tensors,  # noqa: E402
+                                   read_training_checkpoint)
 
 TOY_RESIDUAL = os.path.join(ROOT, "bench", "toy_residual.arch")
 
@@ -202,7 +207,8 @@ def watch_steps(emit: Printer) -> None:
 
 
 def saved(emit: Printer, trainer: Trainer, stage: str) -> None:
-    """Every named tensor, and the checkpoint file's bytes."""
+    """Every named tensor, the checkpoint file's bytes, and what each way
+    of reading the file back leaves."""
     for name, a in sorted(trainer.h.named_tensors().items()):
         emit(f"{stage} {name}", a)
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,6 +216,29 @@ def saved(emit: Printer, trainer: Trainer, stage: str) -> None:
         trainer.save(path)
         with open(path, "rb") as fh:
             emit(f"{stage} checkpoint", np.frombuffer(fh.read(), np.uint8))
+        reloaded(emit, trainer, stage, path)
+
+
+def reloaded(emit: Printer, trainer: Trainer, stage: str, path: str) -> None:
+    """The checkpoint at path read back the eval way (load_tensors into a
+    fresh hierarchy) and the finetune way (Trainer.load_state into a fresh
+    Trainer): every named tensor each leaves, the finetune way's momentum
+    and score state, and each one's frozen teacher's eval logits."""
+    h, x = trainer.h, trainer.val_data.images[:trainer.cfg.batch_size]
+    for way in ("eval", "finetune"):
+        fresh = ModelHierarchy(h.arch, h.keep_ratios, seed=1, dtype=h.dtype)
+        tensors, meta = read_training_checkpoint(path)
+        opt_state = {}
+        if way == "eval":
+            load_tensors(fresh, tensors)
+        else:
+            resumed = Trainer(fresh, trainer.data, trainer.cfg)
+            resumed.load_state(tensors, meta)
+            opt_state = {**resumed.weight_opt.state_tensors(),
+                         **resumed.score_opt.state_tensors()}
+        for name, a in sorted({**fresh.named_tensors(), **opt_state}.items()):
+            emit(f"{stage} {way} {name}", a)
+        emit(f"{stage} {way} frozen logits", fresh.forward_frozen(x).logits.data)
 
 
 def eval_logits(emit: Printer, h: ModelHierarchy, x: np.ndarray,
