@@ -42,6 +42,17 @@ checked with OpenBLAS 0.3.31 at one, two and four threads; another
 BLAS, version or thread count may sum the parts in another order, and
 tests/test_tensor_ops.py checks the installed one's row splits.
 
+A pointwise conv (_pointwise_gemm: float32, 1x1, stride 1, a map of 64 or
+more pixels and a per-image M*K*N above that bound) needs no patch
+matrix and no channels-last copy at all: its forward and input gradient
+are one GEMM per image on the (C, H*W) map, and its kernel gradient one
+GEMM over the images' maps side by side, each bitwise the im2col GEMM.
+
+conv2d_raw and depthwise_conv2d_raw also take a bias and a relu flag,
+which they apply in the buffer their products are written to: an eval
+pass folds batch norm, and the relu after it, into the conv before it
+(batch_norm_affine gives the per-channel scale and shift).
+
 Depthwise convolution is bound by memory traffic, not arithmetic: each
 of its K*K taps reads and writes an output-sized buffer. Its forward and
 both gradients therefore run over chunks of images whose padded input,
@@ -415,6 +426,27 @@ _BLAS_SMALL_MNK = 100 ** 3
 # channels make the K*K tap GEMMs slower than one GEMM.
 _TAP_GRAD_BYTES = 16 << 20
 
+# A pointwise conv (_pointwise_gemm) runs as one GEMM per image only on a map
+# of at least this many pixels: on a 4x4 map the per-image GEMMs are
+# slower than the im2col GEMM's transposes.
+_POINTWISE_PIXELS = 64
+
+
+def _pointwise_gemm(x_shape: tuple, w_shape: tuple, stride: int, dtype) -> bool:
+    """Whether a conv runs as one NCHW GEMM per image, with no transposed
+    copy of its activations, in its forward (W^T @ x_n), input gradient
+    (W @ g_n) and kernel gradient (X @ G^T over the whole batch, X and G
+    each image's (C, H*W) maps side by side): a float32 (see
+    _conv_chunks) 1x1 stride-1 conv with two or more input and output
+    channels, on a map of _POINTWISE_PIXELS or more, whose per-image
+    M*K*N is above _BLAS_SMALL_MNK. There each GEMM is bitwise the
+    im2col one."""
+    _, _, h, w = x_shape
+    k, _, cin, cout = w_shape
+    return (dtype == np.float32 and k == 1 and stride == 1
+            and min(cin, cout) >= 2 and h * w >= _POINTWISE_PIXELS
+            and h * w * cin * cout > _BLAS_SMALL_MNK)
+
 
 def _conv_chunks(n: int, pixels: int, kkc: int, cout: int, dtype) -> list:
     """The (lo, hi) image ranges that conv2d_raw and _conv_input_grad run
@@ -458,16 +490,22 @@ def _tap_grad(rows: int, cin: int, cout: int, k: int, dtype) -> bool:
 def _kernel_grad(x: np.ndarray, rows: np.ndarray, k: int, stride: int,
                  pads: tuple, ho: int, wo: int) -> np.ndarray:
     """The kernel gradient of a conv, (K,K,Cin,Cout), from its input x
-    (N,C,H,W) and its output gradient as rows (N*Ho*Wo, Cout):
+    (N,C,H,W) and its output gradient as _grad_rows gives it:
     patches^T @ rows, with the patch matrix rebuilt from x.
 
     Where _tap_grad holds, tap (i, j) of the result is its own GEMM,
     tap^T @ rows, on one reused (N*Ho*Wo, Cin) copy of the tap's slice,
     instead of one GEMM on the K*K times larger patch matrix. Each is a
     block of rows of the one GEMM's result, summed over the same whole
-    batch, so the two give the same bits."""
+    batch, so the two give the same bits. A pointwise conv's (N, Cout,
+    Ho*Wo) maps give X @ G^T, X (Cin, N*Ho*Wo) and G (Cout, N*Ho*Wo)
+    being the input's and the gradient's maps side by side."""
     n, cin = x.shape[:2]
     cout = rows.shape[1]
+    if rows.ndim == 3:
+        xs = np.ascontiguousarray(x.reshape(n, cin, -1).transpose(1, 0, 2))
+        gs = np.ascontiguousarray(rows.transpose(1, 0, 2))
+        return (xs.reshape(cin, -1) @ gs.reshape(cout, -1).T).reshape(1, 1, cin, cout)
     dtype = np.result_type(x.dtype, rows.dtype)
     xp = _channels_last_padded(x, pads, x.dtype)
     if not _tap_grad(rows.shape[0], cin, cout, k, dtype):
@@ -484,9 +522,13 @@ def _kernel_grad(x: np.ndarray, rows: np.ndarray, k: int, stride: int,
     return gw
 
 
-def _grad_rows(g: np.ndarray) -> np.ndarray:
-    """An (N,C,Ho,Wo) output gradient as contiguous (N*Ho*Wo, C) rows."""
+def _grad_rows(g: np.ndarray, pointwise: bool) -> np.ndarray:
+    """An (N,C,Ho,Wo) output gradient as the backward's GEMMs read it:
+    contiguous (N*Ho*Wo, C) rows, or for a pointwise conv (_pointwise_gemm)
+    contiguous (N, C, Ho*Wo) maps."""
     n, c, ho, wo = g.shape
+    if pointwise:
+        return np.ascontiguousarray(g).reshape(n, c, ho * wo)
     return np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c)
 
 
@@ -501,11 +543,33 @@ def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray, w_shape: tuple,
     if g.shape != (n, w_shape[3], ho, wo):
         raise ShapeError(f"upstream gradient shape {g.shape} does not match "
                          f"conv output {(n, w_shape[3], ho, wo)}")
-    return _kernel_grad(x, _grad_rows(g), k, stride, pads, ho, wo)
+    pointwise = _pointwise_gemm(x.shape, w_shape, stride,
+                                np.result_type(x.dtype, g.dtype))
+    return _kernel_grad(x, _grad_rows(g, pointwise), k, stride, pads, ho, wo)
+
+
+def _channels_last_bias(bias: Optional[np.ndarray], ho: int, wo: int,
+                        c: int) -> Optional[np.ndarray]:
+    """A bias that broadcasts to (1,C,Ho,Wo) as a contiguous (1,Ho,Wo,C)
+    array: added to a channels-last buffer it broadcasts over the images
+    only, in runs of Ho*Wo*C values (see _spread)."""
+    if bias is None:
+        return None
+    return np.ascontiguousarray(np.broadcast_to(bias.transpose(0, 2, 3, 1),
+                                                (1, ho, wo, c)))
+
+
+def _finish(out: np.ndarray, bias: Optional[np.ndarray], relu: bool) -> None:
+    """Adds bias to a conv's output buffer and applies relu, in place."""
+    if bias is not None:
+        out += bias
+    if relu:
+        np.fmax(out, out.dtype.type(0), out=out)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
-               padding: str = "same") -> np.ndarray:
+               padding: str = "same", bias: Optional[np.ndarray] = None,
+               relu: bool = False) -> np.ndarray:
     """Plain-array cross-correlation; the single kernel behind every conv
     forward. x (N,C,H,W), w (K,K,Cin,Cout) -> (N,Cout,Ho,Wo).
 
@@ -519,7 +583,12 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     written to the output in NCHW; the buffers are allocated once per
     call. A batch that is one chunk runs these steps once. The result is
     C-contiguous, in the operands' common dtype, and bitwise that of one
-    GEMM over the whole batch.
+    GEMM over the whole batch. A pointwise conv (_pointwise_gemm) is instead
+    one GEMM per image, W^T @ x_n, written straight into the output.
+
+    bias, an array that broadcasts to (1, Cout, Ho, Wo), is added and
+    relu applied in the buffer a GEMM writes (an eval pass with batch
+    norm folded into the kernel), before the output is written.
 
     Every conv op calls this function once, with the whole batch, by its
     module-level name.
@@ -534,6 +603,16 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     pt, pb, pl, pr = pads
     dtype = np.result_type(x.dtype, w.dtype)
     kernel = w.reshape(kh * kh * cin, cout).astype(dtype, copy=False)
+    if _pointwise_gemm(x.shape, w.shape, stride, dtype):
+        y = np.empty((n, cout, ho * wo), dtype=dtype)
+        maps = x.reshape(n, c, ho * wo)
+        image_bias = None if bias is None else bias[0].reshape(cout, -1)
+        kernel_t = kernel.T
+        for i in range(n):
+            np.matmul(kernel_t, maps[i], out=y[i])
+            _finish(y[i], image_bias, relu)
+        return y.reshape(n, cout, ho, wo)
+    bias = _channels_last_bias(bias, ho, wo, cout)
     chunks = _conv_chunks(n, ho * wo, kh * kh * cin, cout, dtype)
     nb = max(hi - lo for lo, hi in chunks)
     xp = (np.zeros if any(pads) else np.empty)((nb, h + pt + pb, wd + pl + pr, c), dtype)
@@ -551,24 +630,34 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
             patches = cols[:rows]
             patches.reshape(m, ho, wo, kh, kh, c)[:] = _windows(xp[:m], kh, stride, ho, wo)
         np.matmul(patches, kernel, out=out[:rows])
-        y[lo:hi] = out[:rows].reshape(m, ho, wo, cout).transpose(0, 3, 1, 2)
+        part = out[:rows].reshape(m, ho, wo, cout)
+        _finish(part, bias, relu)
+        y[lo:hi] = part.transpose(0, 3, 1, 2)
     return y
 
 
 def _conv_input_grad(rows: np.ndarray, w: np.ndarray, x_shape: tuple,
                      stride: int, pads: tuple, ho: int, wo: int) -> np.ndarray:
-    """The input gradient of a conv, (N,C,H,W): gcols = rows @ W^T,
-    scattered back tap by tap onto a zeroed padded channels-last array
-    whose interior is the result in NCHW (a 1x1 stride-1 conv's gcols is
-    that array). Where _conv_chunks splits the batch, this runs over the
-    forward's chunks of images, in one chunk-sized gcols buffer and one
-    padded buffer, zeroed for each chunk, allocated once per call. The
-    result is bitwise that of one GEMM over the whole batch (see the
-    module docstring for the BLAS this holds on)."""
+    """The input gradient of a conv, (N,C,H,W), from its output gradient
+    as _grad_rows gives it: gcols = rows @ W^T, scattered back tap by tap
+    onto a zeroed padded channels-last array whose interior is the result
+    in NCHW (a 1x1 stride-1 conv's gcols is that array). Where
+    _conv_chunks splits the batch, this runs over the forward's chunks of
+    images, in one chunk-sized gcols buffer and one padded buffer, zeroed
+    for each chunk, allocated once per call. The result is bitwise that
+    of one GEMM over the whole batch (see the module docstring for the
+    BLAS this holds on). A pointwise conv's (N, Cout, Ho*Wo) maps give
+    one GEMM per image, W @ g_n."""
     n, c, h, wd = x_shape
     k, _, cin, cout = w.shape
     pt, pb, pl, pr = pads
     dtype = np.result_type(rows.dtype, w.dtype)
+    if rows.ndim == 3:
+        gx = np.empty((n, c, h * wd), dtype=dtype)
+        kernel = w.reshape(cin, cout).astype(dtype, copy=False)
+        for i in range(n):
+            np.matmul(kernel, rows[i], out=gx[i])
+        return gx.reshape(x_shape)
     kernel_t = w.reshape(k * k * cin, cout).astype(dtype, copy=False).T
     chunks = _conv_chunks(n, ho * wo, k * k * cin, cout, dtype)
     direct = k == 1 and stride == 1
@@ -597,8 +686,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
     gw = patches^T @ rows, with the patch matrix rebuilt rather than kept
     from the forward, or tap by tap where it would be large (_kernel_grad),
     and gx = rows @ W^T scattered back tap by tap, over the forward's
-    chunks of images (_conv_input_grad). The closure keeps x's data only
-    if w needs a gradient, and w's only if x does.
+    chunks of images (_conv_input_grad); a pointwise conv (_pointwise_gemm)
+    runs both on its NCHW maps. The closure keeps x's data only if w
+    needs a gradient, and w's only if x does.
     """
     _check_same_dtype(x, w)
     _, _, h, wd = x.shape
@@ -606,12 +696,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
     y = conv2d_raw(x.data, w.data, stride, padding)
     pads, ho, wo = _conv_geometry(h, wd, k, stride, padding)
     x_shape = x.shape
+    pointwise = _pointwise_gemm(x_shape, w.shape, stride, x.dtype)
     x_data = x.data if w.requires_grad else None
     w_data = w.data if x.requires_grad else None
 
     def bwd(g: np.ndarray):
         gx = gw = None
-        rows = _grad_rows(g)
+        rows = _grad_rows(g, pointwise)
         if x_data is not None:
             gw = _kernel_grad(x_data, rows, k, stride, pads, ho, wo)
         if w_data is not None:
@@ -661,13 +752,16 @@ def masked_conv2d(x: Tensor, w: Tensor, mask: np.ndarray, stride: int = 1,
     if pruned:
         y *= scale.reshape(1, -1, 1, 1)
     x_shape, x_data = x.shape, x.data
+    pointwise = _pointwise_gemm(x_shape, w.shape, stride, x.dtype)
+    if pointwise:
+        scale = scale.reshape(-1, 1)  # over a pointwise gradient's maps
     w_data = w.data if x.requires_grad else None
     need_w = w.requires_grad
     kernel_grad = KernelGrad()
 
     def bwd(g: np.ndarray):
         gx = gw = None
-        rows = _grad_rows(g)
+        rows = _grad_rows(g, pointwise)
         kg = kernel_grad.value = _kernel_grad(x_data, rows, k, stride, pads, ho, wo)
         if need_w:
             gw = np.where(mask, kg, kg.dtype.type(0)) if pruned else kg
@@ -734,12 +828,14 @@ def _dw_weights(w: np.ndarray, stride: int, wo: int) -> np.ndarray:
 
 
 def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
-                ho: int, wo: int, dtype) -> np.ndarray:
+                ho: int, wo: int, dtype, bias: Optional[np.ndarray],
+                relu: bool) -> np.ndarray:
     """The sum over taps (i, j) of _tap(x padded, i, j) * w[i, j], in NCHW,
     one chunk of images at a time: each chunk is written into the interior
     of one padded channels-last buffer, whose zero border every chunk
     reuses, then summed tap by tap into an output-sized buffer through a
-    scratch of the same size."""
+    scratch of the same size; the bias and relu are applied in that
+    output-sized buffer."""
     n, c, h, wd = x.shape
     k = w.shape[0]
     pt, pb, pl, pr = pads
@@ -749,6 +845,7 @@ def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
     acc = _line_aligned((nb, ho, wo, c), dtype)
     tmp = _line_aligned((nb, ho, wo, c), dtype)
     weights = _dw_weights(w, stride, wo)
+    bias = _channels_last_bias(bias, ho, wo, c)
     y = np.empty((n, c, ho, wo), dtype=dtype)
     for lo in range(0, n, nb):
         m = min(nb, n - lo)
@@ -759,6 +856,7 @@ def _dw_forward(x: np.ndarray, w: np.ndarray, stride: int, pads: tuple,
         for tap, wt in zip(taps[1:], weights[1:]):
             np.multiply(tap, wt, out=scratch)
             out += scratch
+        _finish(acc[:m], bias, relu)
         y[lo:lo + m] = acc[:m].transpose(0, 3, 1, 2)
     return y
 
@@ -842,7 +940,8 @@ def _dw_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int,
 
 
 def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
-                         padding: str = "same") -> np.ndarray:
+                         padding: str = "same", bias: Optional[np.ndarray] = None,
+                         relu: bool = False) -> np.ndarray:
     """Per-channel cross-correlation. x (N,C,H,W), w (K,K,C); channel c of
     the output only sees channel c of the input.
 
@@ -853,7 +952,8 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     images whose padded input, output and scratch fit in L2 cache
     (_DW_CHUNK_BYTES): one chunk's buffers are allocated once, on a cache
     line, and reused by every chunk. The result is C-contiguous, in the
-    operands' common dtype, and does not depend on the chunk size.
+    operands' common dtype, and does not depend on the chunk size. bias
+    and relu are conv2d_raw's, applied to each chunk's sum.
     """
     n, c, h, wd = x.shape
     kh, kw, cw = w.shape
@@ -862,7 +962,8 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int = 1,
     if cw != c:
         raise ShapeError(f"input has {c} channels but kernel expects {cw}")
     pads, ho, wo = _conv_geometry(h, wd, kh, stride, padding)
-    return _dw_forward(x, w, stride, pads, ho, wo, np.result_type(x.dtype, w.dtype))
+    return _dw_forward(x, w, stride, pads, ho, wo, np.result_type(x.dtype, w.dtype),
+                       bias, relu)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
@@ -1003,6 +1104,23 @@ def _put(a: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+_BN_EPSILON = 1e-5
+
+
+def batch_norm_affine(state: BatchNormState, index: Optional[np.ndarray] = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm as a per-channel affine map y = s*x + t, at
+    the state's channels at index (all when None): s = gamma * inv_std and
+    t = beta - running_mean * s, as arrays. Folded into a conv's kernel and
+    bias, it gives batch_norm's eval output up to rounding."""
+    gamma, beta = state.gamma.data, state.beta.data
+    mean, var = state.running_mean, state.running_var
+    if index is not None:
+        gamma, beta, mean, var = (a[index] for a in (gamma, beta, mean, var))
+    s = gamma * (1.0 / np.sqrt(var + _BN_EPSILON))
+    return s, beta - mean * s
+
+
 def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
                index: Optional[np.ndarray] = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
@@ -1042,7 +1160,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     _check_same_dtype(x, gamma, beta)
     shape = x.shape
     m = shape[0] * shape[2] * shape[3]
-    momentum, epsilon = 0.9, 1e-5
+    momentum = 0.9
 
     if mode == "train":
         mu = _channel_sum(x.data) / m
@@ -1058,7 +1176,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train",
     else:
         mu, var = running_mean, running_var
         y = np.subtract(x.data, _spread(mu, shape))
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPSILON)
     k = gamma.data * inv_std
     y *= _spread(k, shape)
     y += _spread(beta.data, shape)

@@ -39,6 +39,15 @@ weights, batch-norm state and mask are the same objects, so the
 one-image map is computed once per version of them, not once per
 forward. A train-mode pass of any slot drops every slot's memo, since
 its step replaces the shared kernels they were built from.
+
+Such a pass also folds eval-mode batch norm, a per-channel affine map
+s*x + t, into the conv or depthwise conv before it, and the relu after
+it: the memo keeps the kernel with its output channels scaled by s and
+a bias, t plus s times the dead input channels' contribution, which
+the conv adds in its output buffer before the relu. A folded pass
+equals the unfolded one on the tape up to rounding. The frozen
+teacher's memo, which lives through every training step, keeps no
+scaled copy of a whole kernel.
 """
 
 from __future__ import annotations
@@ -304,8 +313,10 @@ class ModelHierarchy:
                      want_context: bool) -> SlotForward:
         """The one loop over the arch's plan, with one op set
         (_KeptWidth); an eval pass that saves no context and has the tape
-        off goes through the slot's memo. Ids whose taps share a step
-        collapse into one map, named after the smallest."""
+        off goes through the slot's memo, and folds into each conv and
+        depthwise conv the batch norm and relu after it (_folded_run).
+        Ids whose taps share a step collapse into one map, named after
+        the smallest."""
         memo = None
         if mode == "train":
             # this pass replaces its running statistics, and its step the
@@ -317,21 +328,34 @@ class ModelHierarchy:
             memo = state.memo
             if memo is None or not memo.built_from(sources, x.shape[1:]):
                 state.memo = None
-                memo = _Memo(sources, x.shape[1:])
+                # the frozen teacher's memo lives through every step's
+                # backward, so it keeps no copy of a whole kernel
+                memo = _Memo(sources, x.shape[1:], whole_kernels=weights is self.shared)
         ops = _KeptWidth(mode, memo, want_context)
         reg = {"x": ops.start(x)}
         hints: dict[str, Tensor] = {}
-        for st in self.arch.plan:
+        plan = self.arch.plan
+        k = 0
+        while k < len(plan):
+            st = plan[k]
             op, it = st.op, st.layer
             t = reg["x"] if op == "fork" else reg[st.reg]
+            bn, relu = None, False
+            if op in ("conv", "dwconv") and memo is not None:
+                run = _folded_run(plan, k)
+                if run:
+                    bn, relu = state.bns[plan[k + 1].index], run == 2
+                    k += run
+                    st = plan[k]  # the run's last step holds its taps
+            k += 1
             if op == "conv":
                 if it is self._stem_spec:
-                    t = ops.conv(t, state.stem, None, it)
+                    t = ops.conv(t, state.stem, None, it, bn, relu)
                 else:
                     mask = state.mask.layers[it.layer_id] if it.maskable else None
-                    t = ops.conv(t, weights[it.label], mask, it)
+                    t = ops.conv(t, weights[it.label], mask, it, bn, relu)
             elif op == "dwconv":
-                t = ops.dwconv(t, weights[it.label], it)
+                t = ops.dwconv(t, weights[it.label], it, bn, relu)
             elif op == "bn":
                 t = ops.bn(t, state.bns[st.index])
             elif op == "relu":
@@ -457,6 +481,21 @@ class ModelHierarchy:
                 slot.scores = ImportanceScores({lid: table[n] for lid, n in names})
 
 
+def _folded_run(plan: list, k: int) -> int:
+    """How many steps after conv or depthwise conv step k fold into it in
+    a memo pass: the batch norm after it and then the relu after that, on
+    the same register, with no hint tap before the run's last step."""
+    run = 0
+    for op in ("bn", "relu"):
+        nxt = k + run + 1
+        if nxt < len(plan) and plan[nxt].op == op \
+                and plan[nxt].reg == plan[k].reg and not plan[nxt - 1].taps:
+            run += 1
+        else:
+            break
+    return run
+
+
 def _layer_names(kind: str, slot: int, arch: ArchSpec) -> list[tuple[int, str]]:
     """(layer id, checkpoint name) of one slot's per-layer masks or scores."""
     return [(lid, f"slot{slot}.{kind}.{lid}") for lid in sorted(arch.maskable_sizes)]
@@ -534,8 +573,11 @@ def _widen(v: _Live, index: np.ndarray) -> Tensor:
 class _Memo:
     """The values of one slot's no-tape eval pass that do not depend on
     the images and are costly to recompute, in the order the pass
-    computed them: the gathered kernels and dense rows, and the fold after
-    each step with its contribution to the next conv or dense output. The
+    computed them: the gathered kernels and dense rows (a conv's scaled by
+    the batch norm folded into it, with its bias), and the fold after each
+    step with its contribution to the next conv or dense output. A memo
+    without whole_kernels (the frozen teacher's, which outlives every
+    step) keeps no scaled copy of a kernel that the pass uses whole. The
     folds' sizes follow the image shape (a net that ends in global
     pooling runs at any input size). It refers to the objects
     it was built from only weakly, so it keeps no replaced kernel,
@@ -544,9 +586,10 @@ class _Memo:
     hierarchy (SlotState), so a teacher slot's memo is gone before the
     student's backward runs."""
 
-    def __init__(self, sources: list, image_shape: tuple):
+    def __init__(self, sources: list, image_shape: tuple, whole_kernels: bool):
         self._sources = [weakref.ref(o) for o in sources]
         self._image_shape = image_shape
+        self.whole_kernels = whole_kernels
         self.values: list = []
 
     def built_from(self, sources: list, image_shape: tuple) -> bool:
@@ -592,6 +635,15 @@ class _KeptWidth:
     same arrays back and runs only the live channels on the images, so
     its outputs are bitwise those of the pass that built the memo.
 
+    In such a pass a conv or depthwise conv given the batch norm after it
+    (and the relu after that) folds them in: its kernel is memoised with
+    the output channels scaled (_folded_kernel), and the batch norm's
+    shift, plus the scaled contribution of the dead input channels, is
+    memoised as one bias that the raw conv adds before its relu. The
+    dead output channels' fold still goes through the unfolded batch
+    norm and relu, so what pruned channels leak reaches the next layer
+    as before.
+
     With save_contexts, each masked conv instead computes all its filters
     and masks them in one op (ad.masked_conv2d), saving its input, its
     output and the kernel gradient its backward keeps, so that routing
@@ -624,7 +676,8 @@ class _KeptWidth:
     def full(self, v: _Live) -> Tensor:
         return _widen(v, np.arange(v.width))
 
-    def conv(self, v: _Live, w: Parameter, mask, it: ConvL) -> _Live:
+    def conv(self, v: _Live, w: Parameter, mask, it: ConvL,
+             bn: Optional[BatchNormState] = None, relu: bool = False) -> _Live:
         if self.save_contexts and mask is not None:
             # full width in: every conv before it in this pass returned all
             # its channels (the stem, unmasked convs and this branch)
@@ -641,6 +694,19 @@ class _KeptWidth:
                           it.stride, it.padding)
             return f if kept is None else ad.take(f, kept, axis=1)
 
+        if bn is not None:
+            s, t = ad.batch_norm_affine(bn, kept)
+
+            def bias():
+                b = t.reshape(1, -1, 1, 1)
+                if v.fold is not None:
+                    b = b + s.reshape(1, -1, 1, 1) * fold_term().data
+                return b
+
+            kernel = self._folded_kernel(w, v.live, kept, s)
+            y = ad.conv2d_raw(v.data.data, kernel, it.stride, it.padding,
+                              self._once(bias), relu)
+            return self._after_bn(_Live(Tensor(y), w.shape[3], kept), bn, relu)
         kernel = w.value  # never memoised: the memo must not keep it alive
         if v.live is not None or kept is not None:
             kernel = self._once(lambda: ad.gather_kernel(w.value, v.live, kept))
@@ -649,23 +715,53 @@ class _KeptWidth:
             y = ad.add(y, self._once(fold_term))
         return _Live(y, w.shape[3], kept)
 
-    def dwconv(self, v: _Live, w: Parameter, it: DWConvL) -> _Live:
+    def dwconv(self, v: _Live, w: Parameter, it: DWConvL,
+               bn: Optional[BatchNormState] = None, relu: bool = False) -> _Live:
+        fold = None
+        if v.fold is not None:
+            fold = self._once(lambda: ad.depthwise_conv2d(
+                v.fold, ad.gather_kernel(w.value, v.dead), it.stride, it.padding))
+        if bn is not None:
+            s, t = ad.batch_norm_affine(bn, v.live)
+            kernel = self._folded_kernel(w, v.live, None, s)
+            y = ad.depthwise_conv2d_raw(v.data.data, kernel, it.stride, it.padding,
+                                        self._once(lambda: t.reshape(1, -1, 1, 1)),
+                                        relu)
+            return self._after_bn(_Live(Tensor(y), v.width, v.live, fold), bn, relu)
         if v.live is None:
             return _Live(ad.depthwise_conv2d(v.data, w.value, it.stride,
                                              it.padding), v.width)
         kernel = self._once(lambda: ad.gather_kernel(w.value, v.live))
         y = ad.depthwise_conv2d(v.data, kernel, it.stride, it.padding)
-        fold = None
-        if v.fold is not None:
-            fold = self._once(lambda: ad.depthwise_conv2d(
-                v.fold, ad.gather_kernel(w.value, v.dead), it.stride, it.padding))
         return _Live(y, v.width, v.live, fold)
 
-    def bn(self, v: _Live, bn: BatchNormState) -> _Live:
-        y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
-        if v.live is None:
-            return _Live(y, v.width)
+    def _folded_kernel(self, w: Parameter, rows, cols, s: np.ndarray) -> np.ndarray:
+        """w's kernel at input rows and output columns (gather_kernel; a
+        depthwise kernel's channels are its rows) with its output channels
+        scaled by s. A whole kernel is built afresh on every pass when the
+        memo keeps no whole kernels; anything else goes through _once."""
+        def make():
+            return ad.gather_kernel(w.value, rows, cols).data * s
 
+        if rows is None and cols is None and not self.memo.whole_kernels:
+            return make()
+        return self._once(make)
+
+    def _after_bn(self, v: _Live, bn: BatchNormState, relu: bool) -> _Live:
+        """v, computed with bn (and relu) folded in, with the fold that
+        its dead channels get through them, exactly as the unfolded ops
+        make it."""
+        if v.live is None:
+            return v
+        fold = self._bn_fold(v, bn)
+        if relu:
+            fold = self._once(lambda: ad.relu(fold))
+        return _Live(v.data, v.width, v.live, fold)
+
+    def _bn_fold(self, v: _Live, bn: BatchNormState) -> Tensor:
+        """What v's dead channels are after bn: its fold through bn, or
+        where it has none, bn's offsets for them (the pruned channels'
+        leak)."""
         def fold_after():
             dead = v.dead
             fold = v.fold
@@ -674,7 +770,13 @@ class _KeptWidth:
                                        dtype=v.data.dtype))
             return ad.batch_norm(fold, bn, mode=self.mode, index=dead)
 
-        return _Live(y, v.width, v.live, self._once(fold_after))
+        return self._once(fold_after)
+
+    def bn(self, v: _Live, bn: BatchNormState) -> _Live:
+        y = ad.batch_norm(v.data, bn, mode=self.mode, index=v.live)
+        if v.live is None:
+            return _Live(y, v.width)
+        return _Live(y, v.width, v.live, self._bn_fold(v, bn))
 
     def _pointwise(self, v: _Live, op) -> _Live:
         fold = None if v.fold is None else self._once(lambda: op(v.fold))

@@ -3,6 +3,7 @@ per-slot forward behavior, the eval-pass memo, and the cascaded
 score-gradient routing.
 """
 
+import contextlib
 import gc
 import importlib.util
 import os
@@ -400,15 +401,16 @@ class TestKeptWidthEval:
     @pytest.mark.parametrize("net", sorted(NETS))
     def test_unpruned_models_bitwise_unchanged(self, net):
         """The all-ones top slot, and the frozen teacher made from it,
-        run exactly the full-width ops."""
+        run the same folded ops bit for bit, and the full-width ones on
+        the tape up to rounding."""
         arch = NETS[net]()
         h = trained_hierarchy(arch)
         x = np.random.default_rng(6).standard_normal(
             (4, arch.in_c, arch.in_h, arch.in_w))
         ref, got = eval_both_ways(h, len(h.slots) - 1, x)
-        assert np.array_equal(got.logits.data, ref.logits.data)
+        assert_close(got.logits.data, ref.logits.data, "f32")
         h.freeze_teacher()
-        assert np.array_equal(h.forward_frozen(x).logits.data, ref.logits.data)
+        assert h.forward_frozen(x).logits.data.tobytes() == got.logits.data.tobytes()
 
     def test_no_state_is_modified(self):
         arch = NETS["residual"]()
@@ -923,19 +925,29 @@ MEMO_ARCHS = {"vgg16_cifar10": lambda: resolve_arch("vgg16_cifar10"),
               "toy_residual": lambda: load_arch(TOY_RESIDUAL_ARCH)}
 
 
-def leaky_hierarchy(arch, seed=0):
+def leaky_hierarchy(arch, seed=0, dtype="f32"):
     """A fresh hierarchy whose batch norms hold random affines and running
     statistics, so that what its pruned channels leak is not zero."""
-    h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=seed)
+    h = ModelHierarchy(arch, [0.5, 0.75, 1.0], seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed)
+    dt = ad.DTYPES[dtype]
     for slot in h.slots:
         for bn in slot.state.bns:
             c = bn.channels
-            bn.gamma.assign((0.5 + rng.random(c)).astype(np.float32))
-            bn.beta.assign((0.3 * rng.standard_normal(c)).astype(np.float32))
-            bn.running_mean = (0.3 * rng.standard_normal(c)).astype(np.float32)
-            bn.running_var = (0.5 + rng.random(c)).astype(np.float32)
+            bn.gamma.assign((0.5 + rng.random(c)).astype(dt))
+            bn.beta.assign((0.3 * rng.standard_normal(c)).astype(dt))
+            bn.running_mean = (0.3 * rng.standard_normal(c)).astype(dt)
+            bn.running_var = (0.5 + rng.random(c)).astype(dt)
     return h
+
+
+def bench_checks():
+    """bench/checks.py, imported from its file."""
+    path = os.path.join(os.path.dirname(TOY_RESIDUAL_ARCH), "checks.py")
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
 
 
 def images(arch, n=2, seed=0):
@@ -957,9 +969,25 @@ def assert_bitwise(got, want):
         assert got.hint_maps[k].data.tobytes() == m.data.tobytes(), k
 
 
+def assert_near(got, want, dtype="f32"):
+    """Folded (no-tape) and unfolded (tape) passes agree to rounding."""
+    assert_close(got.logits.data, want.logits.data, dtype)
+    assert sorted(got.hint_maps) == sorted(want.hint_maps)
+    for k, m in want.hint_maps.items():
+        assert_close(got.hint_maps[k].data, m.data, dtype)
+
+
+def rebuilt_pass(h, x, slot=0):
+    """A no-tape eval pass of the slot from a cleared memo."""
+    h.slots[slot].state.memo = None
+    return memo_pass(h, x, slot)[0]
+
+
 class TestEvalMemo:
     @pytest.mark.parametrize("arch_id", sorted(MEMO_ARCHS))
     def test_hit_miss_and_tape_passes_are_bitwise_equal(self, arch_id):
+        """A memo hit is bitwise the miss that built it; both fold batch
+        norm, so they match the tape pass up to rounding."""
         arch = MEMO_ARCHS[arch_id]()
         h = leaky_hierarchy(arch)
         x = images(arch)
@@ -970,8 +998,8 @@ class TestEvalMemo:
         assert memo is not None and memo.values
         hit, again = memo_pass(h, x, hint_ids=hint_ids)
         assert again is memo
-        assert_bitwise(miss, tape)
-        assert_bitwise(hit, tape)
+        assert_bitwise(hit, miss)
+        assert_near(miss, tape)
 
     def test_no_memo_on_tape_or_train_passes(self):
         arch = MEMO_ARCHS["toy_residual"]()
@@ -989,7 +1017,8 @@ class TestEvalMemo:
 
     def _invalidated_by(self, edit, arch_id="toy_residual"):
         """Build the student's memo, apply edit(h, x), then check that the
-        next no-tape eval pass rebuilds the memo and matches a tape pass."""
+        next no-tape eval pass rebuilds the memo and is bitwise a pass
+        from a cleared memo."""
         arch = MEMO_ARCHS[arch_id]()
         h = leaky_hierarchy(arch)
         x = images(arch)
@@ -997,7 +1026,7 @@ class TestEvalMemo:
         edit(h, x)
         after, rebuilt = memo_pass(h, x)
         assert rebuilt is not None and rebuilt is not memo
-        assert_bitwise(after, h.forward_slot(0, x, mode="eval"))
+        assert_bitwise(after, rebuilt_pass(h, x))
         assert after.logits.data.tobytes() != before.logits.data.tobytes()
 
     def test_an_optimizer_step_invalidates(self):
@@ -1037,10 +1066,7 @@ class TestEvalMemo:
         """bench/checks.py's silence_gap copies beta and the running mean,
         edits the copies and installs them; the eval pass after that edit
         sees the new state, so the leak it measures is not hidden."""
-        path = os.path.join(os.path.dirname(TOY_RESIDUAL_ARCH), "checks.py")
-        spec = importlib.util.spec_from_file_location("bench_checks", path)
-        checks = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checks)
+        checks = bench_checks()
         gap = {}
 
         def silence(h, x):
@@ -1078,7 +1104,7 @@ class TestEvalMemo:
         small = x[:, :, :8, :8]
         got, rebuilt = memo_pass(h, small)
         assert rebuilt is not memo
-        assert_bitwise(got, h.forward_slot(0, small, mode="eval"))
+        assert_bitwise(got, rebuilt_pass(h, small))
 
     def test_a_replaced_kernel_is_not_kept_alive(self):
         arch = MEMO_ARCHS["toy_residual"]()
@@ -1091,6 +1117,75 @@ class TestEvalMemo:
             p.assign(p.data * 2.0)
             gc.collect()
             assert old() is None, p.name
+
+
+class TestFoldedEval:
+    """A no-tape eval pass folds each batch norm, and the relu after it,
+    into the conv or depthwise conv before it."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_matches_the_tape_pass(self, net, dtype, monkeypatch):
+        """Every slot's folded logits and hint maps equal those of the
+        unfolded pass on the tape to rounding, with leaky batch norms and,
+        on the residual net, a join whose sides prune disjoint channels.
+        No batch norm of the folded passes sees the batch, only the
+        one-image maps of pruned channels, and no relu but the one after
+        each residual join."""
+        arch = NETS[net]()
+        h = leaky_hierarchy(arch, dtype=dtype)
+        x = images(arch, n=5).astype(ad.DTYPES[dtype])
+        hint_ids = sorted(arch.maskable_sizes)
+        batch_ops = []
+
+        def watched(op):
+            def run(t, *args, **kwargs):
+                if t.shape[0] > 1:
+                    batch_ops.append(op.__name__)
+                return op(t, *args, **kwargs)
+            return run
+
+        for slot in (*range(len(h.slots)), "disjoint"):
+            if slot == "disjoint":
+                half_pruned_student(h, disjoint=True)
+                slot = 0
+            tape = h.forward_slot(slot, x, mode="eval", hint_ids=hint_ids)
+            with monkeypatch.context() as mp:
+                for name in ("batch_norm", "relu"):
+                    mp.setattr(ad, name, watched(getattr(ad, name)))
+                got, _ = memo_pass(h, x, slot, hint_ids)
+            assert_near(got, tape, dtype)
+        joins = sum(st.op == "add" for st in arch.plan)
+        assert batch_ops == ["relu"] * joins * (len(h.slots) + 1)
+
+    def test_silence_gap_matches_the_tape_pass(self, monkeypatch):
+        """bench/checks.py's silence_gap measures the same leak through
+        folded passes as through unfolded ones on the tape."""
+        checks = bench_checks()
+        arch = MEMO_ARCHS["toy_residual"]()
+        x = images(arch)
+        folded = checks.silence_gap(leaky_hierarchy(arch), x)
+        monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+        tape = checks.silence_gap(leaky_hierarchy(arch), x)
+        assert folded > 1e-3 and abs(folded - tape) <= 1e-5
+
+    @pytest.mark.parametrize("arch_id", sorted(MEMO_ARCHS))
+    def test_the_frozen_teachers_memo_keeps_no_kernel(self, arch_id):
+        """The frozen teacher's memo lives through every step's backward,
+        so it keeps its folded biases only, one per-channel vector per
+        conv; the top slot's memo, dropped by the next train pass, keeps
+        its folded kernels too."""
+        arch = MEMO_ARCHS[arch_id]()
+        h = leaky_hierarchy(arch)
+        h.freeze_teacher()
+        x = images(arch)
+        h.forward_frozen(x)
+        values = [v.data if isinstance(v, ad.Tensor) else v
+                  for v in h.frozen[1].memo.values]
+        assert values and all(v.shape == (1, v.size, 1, 1) for v in values)
+        _, memo = memo_pass(h, x, len(h.slots) - 1)
+        kernels = {p.shape for p in h.shared_parameters()}
+        assert kernels <= {v.shape for v in memo.values}
 
 
 class TestMemoAcrossSteps:

@@ -406,6 +406,155 @@ class TestConvChunks:
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
+def mobilenet_pointwise_shapes():
+    """(cin, cout, h, w) of every 1x1 conv that the top slot and the
+    student of the benchmark's mobilenetv1_cifar100 hierarchy (keep 0.5,
+    assistants from divisors 1.5 and 2.5) run at kept width."""
+    from cascadeprune.cli import resolve_arch
+    from cascadeprune.hierarchy import ModelHierarchy, derive_ta_keep_ratios
+
+    arch = resolve_arch("mobilenetv1_cifar100")
+    h = ModelHierarchy(arch, derive_ta_keep_ratios(0.5, (1.5, 2.5)))
+    shapes = set()
+    for slot in (h.student, h.top):
+        live = arch.in_c
+        for st in arch.plan:
+            if st.op == "conv":
+                kept = int(slot.state.mask.layers[st.layer.layer_id].sum()) \
+                    if st.layer.maskable else st.layer.cout
+                if st.layer.k == 1:
+                    shapes.add((live, kept, st.out[1], st.out[2]))
+                live = kept
+    return sorted(shapes)
+
+
+class TestPointwiseConv:
+    """A float32 1x1 stride-1 conv on a map of 64 or more pixels whose
+    per-image M*K*N is above 100^3 runs as one NCHW GEMM per image in its
+    forward and input gradient, and as one GEMM on the NCHW maps in its
+    kernel gradient; each is byte for byte the one im2col GEMM."""
+
+    @staticmethod
+    def operands(shape, n=32, dtype=np.float32, seed=41):
+        cin, cout, h, w = shape
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, cin, h, w)).astype(dtype),
+                rng.standard_normal((1, 1, cin, cout)).astype(dtype),
+                rng.standard_normal((n, cout, h, w)).astype(dtype))
+
+    @staticmethod
+    def run(x, w, g, monkeypatch):
+        """conv2d's output and gradients, and how many times the im2col
+        path's helpers ran."""
+        im2col = []
+        for name in ("_conv_chunks", "_channels_last_padded"):
+            def counted(*args, _fn=getattr(ad, name), **kwargs):
+                im2col.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ad, name, counted)
+        y = ad.conv2d(ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True))
+        gx, gw = y.node.backward(g)
+        monkeypatch.undo()
+        return (y.data, gx, gw), im2col
+
+    SHAPES = mobilenet_pointwise_shapes()
+    ADMITTED = [s for s in SHAPES if ad._pointwise_gemm((32,) + s[:1] + s[2:],
+                                                   (1, 1) + s[:2], 1, np.float32)]
+
+    def test_which_mobilenet_shapes_the_rule_admits(self):
+        """The top slot's five 1x1 convs on maps of 8x8 or more and some
+        of the student's take the NCHW path; those on 4x4 and 2x2 maps
+        do not."""
+        assert len(self.ADMITTED) >= 6
+        assert all(h * w >= 64 for _, _, h, w in self.ADMITTED)
+        assert (32, 64, 32, 32) in self.ADMITTED and (512, 512, 4, 4) in self.SHAPES
+        assert (512, 512, 4, 4) not in self.ADMITTED
+
+    @pytest.mark.parametrize("shape", ADMITTED, ids=str)
+    def test_bitwise_the_im2col_gemm(self, shape, monkeypatch):
+        x, w, g = self.operands(shape)
+        got, im2col = self.run(x, w, g, monkeypatch)
+        assert im2col == []
+        for name, want, a in zip(("y", "gx", "gw"),
+                                 TestConvChunks.one_gemm(x, w, g, 1, "same"), got):
+            assert a.dtype == np.float32 and a.flags.c_contiguous, name
+            assert a.tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+    @pytest.mark.parametrize("shape,n,dtype", [
+        ((512, 512, 4, 4), 32, np.float32),    # a map of 16 pixels
+        ((48, 64, 8, 8), 32, np.float32),      # per-image M*K*N 196,608
+        ((100, 100, 10, 10), 4, np.float32),   # per-image M*K*N exactly 100^3
+        ((64, 128, 16, 16), 4, np.float64),    # float64
+    ], ids=["pixels", "mnk", "mnk-bound", "f64"])
+    def test_below_a_bound_takes_the_im2col_path(self, shape, n, dtype, monkeypatch):
+        x, w, g = self.operands(shape, n, dtype)
+        got, im2col = self.run(x, w, g, monkeypatch)
+        assert sorted(set(im2col)) == ["_channels_last_padded", "_conv_chunks"]
+        for name, want, a in zip(("y", "gx", "gw"),
+                                 TestConvChunks.one_gemm(x, w, g, 1, "same"), got):
+            assert a.tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+    def test_one_filter_above_the_mnk_bound_takes_the_nchw_path(self, monkeypatch):
+        x, w, g = self.operands((100, 101, 10, 10), 4)
+        assert self.run(x, w, g, monkeypatch)[1] == []
+
+    def test_kernel_gradients_agree_bitwise(self):
+        """conv2d_kernel_grad, conv2d's backward and masked_conv2d's
+        KernelGrad give the same bits on a 1x1 conv, and the masked
+        conv's input gradient is conv2d's of the masked gradient."""
+        x0, w0, g = self.operands((64, 128, 16, 16), n=8)
+        mask = np.arange(128) % 3 != 0
+        y = ad.conv2d(ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True))
+        gx, gw = y.node.backward(g)
+        masked, kernel_grad = ad.masked_conv2d(ad.Tensor(x0, requires_grad=True),
+                                               ad.Tensor(w0, requires_grad=True), mask)
+        mgx, mgw = masked.node.backward(g)
+        direct = ad.conv2d_kernel_grad(x0, g, w0.shape)
+        assert direct.tobytes() == gw.tobytes() == kernel_grad.value.tobytes()
+        assert mgw.tobytes() == np.where(mask, gw, np.float32(0)).tobytes()
+        ref = ad.conv2d(ad.Tensor(x0, requires_grad=True), ad.Tensor(w0))
+        want_gx, _ = ref.node.backward(g * mask.reshape(1, -1, 1, 1))
+        assert mgx.tobytes() == want_gx.tobytes()
+
+
+class TestFoldedConv:
+    """conv2d_raw and depthwise_conv2d_raw add a bias and apply relu in the
+    buffer their products are written to: bitwise relu(conv + bias)."""
+
+    CASES = [((4, 8, 9, 9), 3, 1, "same"),       # im2col, one chunk
+             ((4, 64, 32, 32), 3, 1, "same"),    # im2col, split in chunks
+             ((3, 16, 10, 10), 3, 2, "valid"),   # strided
+             ((4, 64, 16, 16), 1, 1, "same")]    # pointwise, NCHW
+
+    @pytest.mark.parametrize("per_pixel", [False, True])
+    @pytest.mark.parametrize("shape,k,stride,pad", CASES)
+    def test_conv_bias_and_relu(self, shape, k, stride, pad, per_pixel):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((k, k, shape[1], 64)).astype(np.float32)
+        plain = ad.conv2d_raw(x, w, stride, pad)
+        bias = rng.standard_normal((1, 64) + (plain.shape[2:] if per_pixel else (1, 1)))
+        bias = bias.astype(np.float32)
+        for relu in (False, True):
+            want = plain + bias
+            if relu:
+                want = np.fmax(want, np.float32(0))
+            got = ad.conv2d_raw(x, w, stride, pad, bias, relu)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride,pad", [(1, "same"), (2, "same"), (1, "valid")])
+    def test_depthwise_bias_and_relu(self, stride, pad):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((5, 16, 12, 12)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 16)).astype(np.float32)
+        bias = rng.standard_normal((1, 16, 1, 1)).astype(np.float32)
+        want = np.fmax(ad.depthwise_conv2d_raw(x, w, stride, pad) + bias, np.float32(0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_DW_CHUNK_BYTES", 1)  # one image per chunk
+            got = ad.depthwise_conv2d_raw(x, w, stride, pad, bias, True)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDepthwiseConv:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(15)
